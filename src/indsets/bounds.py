@@ -267,6 +267,34 @@ def c_lambda_from_c(activity, c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def order_histogram(g: Graph, order, d: int) -> tuple[int, ...]:
+    """h[p] = number of vertices with exactly p neighbors earlier in the order, p = 0..d."""
+    adj = g.adj
+    hist = [0] * (d + 1)
+    seen = 0
+    for v in order:
+        hist[(adj[v] & seen).bit_count()] += 1
+        seen |= 1 << v
+    return tuple(hist)
+
+
+def order_product(hist: tuple[int, ...], activity, edge_count: int) -> Fraction:
+    """prod_v (2(1+activity)^(p(v)) - 1) from the p-value histogram, exactly.
+
+    For activity a/b each factor is (2(a+b)^p - b^p) / b^p, and the p-values
+    sum to the edge count E, so the product is one integer numerator over
+    b^E, built from at most d+1 integer powers.
+    """
+    if sum(p * h for p, h in enumerate(hist)) != edge_count:
+        raise AssertionError("order p-values must sum to the edge count")
+    a, b = activity.as_integer_ratio()
+    num = 1
+    for p, h in enumerate(hist):
+        if h:
+            num *= (2 * (a + b) ** p - b**p) ** h
+    return Fraction(num, b**edge_count)
+
+
 def order_bound(g: Graph, order, activity) -> BoundReport:
     """Total-order bound: prod_v (2(1+activity)^(p(v)) - 1)^(1/d).
 
@@ -285,15 +313,7 @@ def order_bound(g: Graph, order, activity) -> BoundReport:
     lam = Fraction(activity)
     if lam <= 0:
         raise ValueError("activity must be positive")
-    seen = 0
-    product = Fraction(1)
-    p_values = []
-    for v in perm:
-        p = (g.adj[v] & seen).bit_count()
-        p_values.append(p)
-        product *= 2 * (1 + lam) ** p - 1
-        seen |= 1 << v
-    assert sum(p_values) == g.edge_count()
+    product = order_product(order_histogram(g, perm, d), lam, g.edge_count())
     log2_product = log2_fraction(product)
     return BoundReport(
         "order_bound",

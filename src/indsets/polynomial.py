@@ -54,11 +54,15 @@ class IndependencePolynomial:
         return sum(self.coeffs)
 
     def evaluate(self, activity) -> Fraction:
+        """Exact value at activity a/b: sum_t c_t a^t b^(alpha-t), divided once by b^alpha."""
         lam = Fraction(activity)
-        acc = Fraction(0)
+        a, b = lam.numerator, lam.denominator
+        acc = 0
+        b_pow = 1
         for c in reversed(self.coeffs):
-            acc = acc * lam + c
-        return acc
+            acc = acc * a + c * b_pow
+            b_pow *= b
+        return Fraction(acc, b**self.degree)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "coeffs": [str(c) for c in self.coeffs]})

@@ -148,7 +148,7 @@ def _fake_record(graph_id, n, d, conj_fail=False, must_fail=False):
     from indsets.graphs import GraphStats
 
     return VerificationRecord(
-        graph_id, "g6", GraphStats(n=n, d=d, alpha=1, edge_count=0), checks, 0.0
+        graph_id, "g6", GraphStats(n=n, d=d, alpha=1, edge_count=0), checks
     )
 
 
@@ -348,3 +348,36 @@ def test_cli_cover_certificate_file_round_trip(tmp_path, capsys):
     cert_path.write_text(json.dumps(doc["certificate"]))
     assert main(["cover", "gen:petersen", "--certificate", str(cert_path)]) == 0
     assert json.loads(capsys.readouterr().out)["verified"]
+
+
+def test_order_bound_zero_orders_skips(capsys, tmp_path):
+    rec = verify_graph("gen:cycle:5", gen_cycle(5), RunConfig(orders=0))
+    check = next(c for c in rec.checks if c.name == "order_bound")
+    assert check.status == "skip" and check.holds_exact is None
+    assert check.witness == {"reason": "no orders requested"}
+
+    out = tmp_path / "report.json"
+    assert main(["verify", "gen:cycle:5", "--orders", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    (check,) = [c for c in doc["records"][0]["checks"] if c["name"] == "order_bound"]
+    assert check["status"] == "skip" and "holds_exact" not in check
+
+
+def test_negative_orders_rejected(capsys):
+    with pytest.raises(ValueError):
+        RunConfig(orders=-3)
+    assert main(["verify", "gen:cycle:5", "--orders", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "error: orders must be nonnegative" in captured.err
+    assert captured.out == ""
+
+
+def test_bounds_for_graph_count_equality_is_exact():
+    def conjecture_report(spec):
+        _, reports, _ = bounds_for_graph(graph_from_spec(spec), RunConfig())
+        return next(rep for rep in reports if rep.name == "conjecture_counts")
+
+    union = conjecture_report("gen:union:kdd:3+kdd:3")
+    assert union.holds_exact and union.constants.get("equality") is True
+    petersen = conjecture_report("gen:petersen")
+    assert petersen.holds_exact and "equality" not in petersen.constants
