@@ -394,6 +394,27 @@ def fixed_size_bound(n: int, d: int, t: int, bipartite: bool = False) -> BoundRe
     )
 
 
+def fixed_size_rhs(n: int, d: int) -> int:
+    """n^(n*d) * 2^(2n), the side of `fixed_size_holds_exact` shared by every t."""
+    return n ** (n * d) << (2 * n)
+
+
+def fixed_size_holds_exact(count: int, n: int, d: int, t: int, rhs: int) -> bool:
+    """Integer check count <= fixed_size_bound(n, d, t) (general form).
+
+    (n/2)H(2t/n) = (n/2)log2(n) - t*log2(2t) - ((n-2t)/2)log2(n-2t), so raising
+    both sides to the power 2d clears every fractional exponent:
+    count^(2d) * (2t)^(2td) * (n-2t)^((n-2t)d) <= n^(nd) * 2^(2n), with
+    0^0 = 1. `rhs` is `fixed_size_rhs(n, d)`.
+    """
+    if d < 1 or n < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    if not 0 <= 2 * t <= n:
+        raise ValueError("need 0 <= t <= n/2 for the entropy argument")
+    rest = n - 2 * t
+    return count ** (2 * d) * (2 * t) ** (2 * t * d) * rest ** (rest * d) <= rhs
+
+
 def improved_fixed_size_bound(n: int, d: int, t: int, c_alpha: float) -> BoundReport:
     """exp2{(n/2)(H(2t/n) + 1/d + (c_alpha/d)*sqrt(log2(d)/d))}; requires d >= 2."""
     if d < 2 or n < 1:

@@ -23,6 +23,12 @@ class GraphError(ValueError):
     """Invalid graph construction, generator parameters, or graph6 input."""
 
 
+def _require_capacity(n: int, what: str, cap: int | None = None):
+    cap = VERTEX_CAPACITY if cap is None else cap
+    if n > cap:
+        raise GraphError(f"{what} {n} exceeds capacity {cap}")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bit mask with the given vertex indices set."""
     bits = 0
@@ -105,9 +111,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], capacity: int | None =
 
     Raises GraphError for loops, out-of-range endpoints, or n beyond capacity.
     """
-    cap = VERTEX_CAPACITY if capacity is None else capacity
-    if n > cap:
-        raise GraphError(f"vertex count {n} exceeds capacity {cap}")
+    _require_capacity(n, "vertex count", capacity)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -123,6 +127,7 @@ def gen_complete_bipartite(d: int) -> Graph:
     """One copy of K_{d,d}: sides {0..d-1} and {d..2d-1}, all cross edges."""
     if d < 1:
         raise GraphError("side size must be at least 1")
+    _require_capacity(2 * d, "vertex count")
     side = ((1 << d) - 1) << d
     other = (1 << d) - 1
     return Graph(2 * d, tuple([side] * d + [other] * d))
@@ -137,6 +142,7 @@ def gen_cycle(n: int) -> Graph:
 def gen_complete(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graph needs at least 1 vertex")
+    _require_capacity(n, "vertex count")
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -152,8 +158,7 @@ def gen_petersen() -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Vertex-disjoint union; h's vertices are relabeled to g.n..g.n+h.n-1."""
     n = g.n + h.n
-    if n > VERTEX_CAPACITY:
-        raise GraphError(f"union size {n} exceeds capacity {VERTEX_CAPACITY}")
+    _require_capacity(n, "union size")
     adj = list(g.adj) + [row << g.n for row in h.adj]
     return Graph(n, tuple(adj))
 
@@ -168,6 +173,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
         raise GraphError("n * d must be even")
     if not 0 <= d < n:
         raise GraphError("need 0 <= d < n")
+    _require_capacity(n, "vertex count")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(RANDOM_REGULAR_RETRY_CAP):
@@ -267,13 +273,11 @@ def parse_graph6(text: str, capacity: int | None = None) -> Graph:
     Rejects malformed headers, out-of-range bytes, trailing garbage, nonzero
     padding bits, and sizes beyond capacity.
     """
-    cap = VERTEX_CAPACITY if capacity is None else capacity
     line = text.strip("\r\n")
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
     n, consumed = _g6_decode_size(line)
-    if n > cap:
-        raise GraphError(f"graph6 size {n} exceeds capacity {cap}")
+    _require_capacity(n, "graph6 size", capacity)
     body = line[consumed:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:

@@ -45,8 +45,6 @@ from .polynomial import independence_polynomial, kdd_union_polynomial
 MUST_HOLD = "must_hold"
 CONJECTURE = "conjecture"
 
-LOG2_REL_TOL = 1e-9
-
 DEFAULT_LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
@@ -167,11 +165,6 @@ class VerificationRecord:
 
 def _rng(cfg: RunConfig, graph_id: str, check: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{graph_id}:{check}")
-
-
-def _log2_leq(value_log2: float, bound_log2: float) -> bool:
-    tol = LOG2_REL_TOL * max(1.0, abs(value_log2), abs(bound_log2))
-    return value_log2 <= bound_log2 + tol
 
 
 def random_maximal_independent_set(g: Graph, rng: random.Random) -> int:
@@ -376,16 +369,17 @@ def _check_independent_first(g, stats, poly, cfg, graph_id):
 def _check_fixed_size(g, stats, poly, cfg, graph_id):
     if stats.d is None or stats.d < 1:
         return _skip("fixed_size", MUST_HOLD, "needs a regular graph with d >= 1")
+    rhs = bd.fixed_size_rhs(stats.n, stats.d)
     margin = None
-    for t in range(poly.degree + 1):
-        count_log2 = bd.log2_fraction(Fraction(poly.coefficient(t)))
+    for t, count in enumerate(poly.coeffs):
+        count_log2 = bd.log2_fraction(Fraction(count))
         bound_log2 = bd.fixed_size_bound(stats.n, stats.d, t).log2_value
-        if not _log2_leq(count_log2, bound_log2):
+        if not bd.fixed_size_holds_exact(count, stats.n, stats.d, t, rhs):
             return CheckResult(
                 "fixed_size",
                 MUST_HOLD,
                 "fail",
-                witness={"t": t, "count": str(poly.coefficient(t)), "bound_log2": bound_log2},
+                witness={"t": t, "count": str(count), "bound_log2": bound_log2},
             )
         gap = bound_log2 - count_log2
         margin = gap if margin is None else min(margin, gap)

@@ -7,9 +7,10 @@ The main algorithm applies the vertex recurrence
     P(G) = P(G - v) + activity * P(G - v - N(v))
 
 at a maximum-degree vertex, splits residual subgraphs into connected
-components (their polynomials multiply), and memoizes residuals by vertex
-mask. A 2^n enumeration oracle is kept alongside as an independent
-cross-check and is never routed through the recurrence.
+components (their polynomials multiply), and memoizes connected residuals by
+vertex mask, with each polynomial packed into one integer. A 2^n enumeration
+oracle is kept alongside as an independent cross-check and is never routed
+through the recurrence.
 """
 
 from __future__ import annotations
@@ -102,46 +103,55 @@ def independence_polynomial(
     """Exact independence polynomial via the vertex recurrence.
 
     Branches at a maximum-degree vertex of the current induced subgraph
-    (lowest index on ties), factors over connected components at every node,
-    and memoizes per vertex mask. The memo table is private to this call and
-    stops growing once `memo_limit` entries are stored.
+    (lowest index on ties) and factors over connected components at every
+    node. The memo is keyed by connected vertex mask only; single-vertex
+    components multiply by (1 + x) inline. The memo table is private to this
+    call and stops growing once `memo_limit` entries are stored.
+
+    Each polynomial is packed into one int, coefficient t at bit offset
+    t * (n + 1) for n = g.n (Kronecker substitution x = 2^(n+1)). This is
+    exact: every polynomial formed here, whether a component's, a product
+    over components or P(G - v) + x * P(G - N[v]), is the independence
+    polynomial of an induced subgraph on at most n vertices. Its coefficients
+    count independent sets, so each is at most 2^n < 2^(n+1). As every
+    coefficient is nonnegative, each digit of a packed product or sum is the
+    matching coefficient of the result, and no digit carries into the next.
     """
     adj = g.adj
-    memo: dict[int, list[int]] = {}
+    shift = g.n + 1
+    one_plus_x = 1 | (1 << shift)
+    memo: dict[int, int] = {}
 
-    def solve(verts: int) -> list[int]:
-        if verts == 0:
-            return [1]
+    def solve(verts: int) -> int:
+        packed = 1
+        for comp in component_masks(adj, verts):
+            if comp & (comp - 1) == 0:
+                packed *= one_plus_x
+            else:
+                packed *= solve_connected(comp)
+        return packed
+
+    def solve_connected(verts: int) -> int:
         cached = memo.get(verts)
         if cached is not None:
             return cached
-        comps = component_masks(adj, verts)
-        if len(comps) == 1:
-            coeffs = solve_connected(verts)
-        else:
-            coeffs = [1]
-            for comp in comps:
-                coeffs = _convolve(coeffs, solve(comp))
-        if len(memo) < memo_limit:
-            memo[verts] = coeffs
-        return coeffs
-
-    def solve_connected(verts: int) -> list[int]:
-        k = verts.bit_count()
-        if k == 1:
-            return [1, 1]
         v = _max_degree_vertex(adj, verts)
-        vbit = 1 << v
-        without = solve(verts & ~vbit)
-        contracted = solve(verts & ~vbit & ~adj[v])
-        out = list(without)
-        if len(out) < len(contracted) + 1:
-            out.extend([0] * (len(contracted) + 1 - len(out)))
-        for t, c in enumerate(contracted):
-            out[t + 1] += c
-        return out
+        rest = verts & ~(1 << v)
+        packed = solve(rest) + (solve(rest & ~adj[v]) << shift)
+        if len(memo) < memo_limit:
+            memo[verts] = packed
+        return packed
 
-    return IndependencePolynomial(g.n, tuple(solve(g.full_mask)))
+    packed = solve(g.full_mask)
+    # solve and solve_connected reach each other through closure cells, a
+    # cycle that would keep the memo alive until the cyclic collector runs.
+    memo.clear()
+    digit = (1 << shift) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & digit)
+        packed >>= shift
+    return IndependencePolynomial(g.n, tuple(coeffs))
 
 
 def brute_force_polynomial(g: Graph) -> IndependencePolynomial:

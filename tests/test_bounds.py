@@ -16,6 +16,8 @@ from indsets.bounds import (
     conjecture_bound,
     conjecture_holds_exact,
     fixed_size_bound,
+    fixed_size_holds_exact,
+    fixed_size_rhs,
     improved_count_bound,
     improved_fixed_size_bound,
     improved_weighted_bound,
@@ -250,6 +252,38 @@ def test_fixed_size_dominates_petersen_coefficients():
         assert math.log2(poly.coefficient(t)) <= bound
         improved = improved_fixed_size_bound(10, 3, t, c_alpha=7.18).log2_value
         assert math.log2(poly.coefficient(t)) <= improved
+
+
+@pytest.mark.parametrize(
+    "n, d, t",
+    [(10, 3, 0), (10, 3, 2), (10, 3, 5), (20, 4, 3), (28, 5, 7), (48, 5, 11), (64, 3, 16), (64, 7, 32)],
+)
+def test_fixed_size_exact_threshold(n, d, t):
+    # c is the largest count the integer predicate accepts, found by bisection.
+    rhs = fixed_size_rhs(n, d)
+
+    def holds(count):
+        return fixed_size_holds_exact(count, n, d, t, rhs)
+
+    lo, hi = 0, 1
+    while holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    c = lo
+    assert holds(c) and not holds(c + 1)
+    # c is floor(2^bound); compared with the float bound up to its rounding.
+    bound_log2 = fixed_size_bound(n, d, t).log2_value
+    tol = 1e-12 * max(1.0, bound_log2)
+    assert math.log2(c) <= bound_log2 + tol and bound_log2 - tol < math.log2(c + 1)
+
+
+def test_fixed_size_exact_rejects_bad_input():
+    with pytest.raises(ValueError):
+        fixed_size_holds_exact(1, 10, 3, 6, fixed_size_rhs(10, 3))
+    with pytest.raises(ValueError):
+        fixed_size_holds_exact(1, 10, 0, 2, 1)
 
 
 def test_improved_fixed_size_formula():

@@ -180,6 +180,24 @@ def test_random_regular_rejects_bad_params():
         gen_random_regular(3, 3, 0)  # d >= n
 
 
+def test_random_regular_rejects_size_beyond_capacity():
+    assert gen_random_regular(64, 3, 1).n == 64
+    with pytest.raises(GraphError, match="exceeds capacity"):
+        gen_random_regular(100, 3, 1)
+
+
+def test_complete_rejects_size_beyond_capacity():
+    assert gen_complete(64).n == 64
+    with pytest.raises(GraphError, match="exceeds capacity"):
+        gen_complete(70)
+
+
+def test_complete_bipartite_rejects_size_beyond_capacity():
+    assert gen_complete_bipartite(32).n == 64
+    with pytest.raises(GraphError, match="exceeds capacity"):
+        gen_complete_bipartite(40)
+
+
 def test_disjoint_union():
     g = disjoint_union(build_graph(2, [(0, 1)]), build_graph(2, [(0, 1)]))
     assert g.n == 4 and g.edge_count() == 2

@@ -6,11 +6,20 @@ import random
 import pytest
 
 from indsets.cli import main
-from indsets.graphs import GraphError, build_graph, gen_cycle, is_independent, write_graph6
+from indsets.graphs import (
+    GraphError,
+    build_graph,
+    gen_cycle,
+    gen_petersen,
+    graph_stats,
+    is_independent,
+    write_graph6,
+)
 from indsets.harness import (
     CheckResult,
     RunConfig,
     VerificationRecord,
+    _check_fixed_size,
     bounds_for_graph,
     cover_summary,
     graph_from_spec,
@@ -23,6 +32,7 @@ from indsets.harness import (
     sort_records_for_report,
     verify_graph,
 )
+from indsets.polynomial import IndependencePolynomial
 
 
 def test_graph_from_spec_kinds():
@@ -381,3 +391,16 @@ def test_bounds_for_graph_count_equality_is_exact():
     assert union.holds_exact and union.constants.get("equality") is True
     petersen = conjecture_report("gen:petersen")
     assert petersen.holds_exact and "equality" not in petersen.constants
+
+
+def test_fixed_size_check_is_exact_at_the_threshold():
+    # n=10, d=3, t=2: the bound is 2^((n/2)(H(2/5) + 2/3)) = 291.648..., so
+    # 291 is the largest count that holds (291^6 4^12 6^18 <= 10^30 2^20 < 292^6 4^12 6^18).
+    g = gen_petersen()
+    stats = graph_stats(g)
+    at = IndependencePolynomial(10, (1, 10, 291, 30, 5))
+    above = IndependencePolynomial(10, (1, 10, 292, 30, 5))
+    assert _check_fixed_size(g, stats, at, RunConfig(), "p").status == "pass"
+    res = _check_fixed_size(g, stats, above, RunConfig(), "p")
+    assert res.status == "fail"
+    assert res.witness["t"] == 2 and res.witness["count"] == "292"

@@ -17,6 +17,7 @@ from indsets.graphs import (
     gen_petersen,
     max_independent_set,
 )
+from indsets.harness import graph_from_spec
 from indsets.polynomial import (
     IndependencePolynomial,
     brute_force_polynomial,
@@ -167,3 +168,40 @@ def test_json_round_trip():
 def test_memo_limit_zero_still_correct():
     g = gen_petersen()
     assert independence_polynomial(g, memo_limit=0).coeffs == (1, 10, 30, 30, 5)
+
+
+# The engine packs coefficient t at bit offset t * (n + 1). These graphs have
+# n = 64, the vertex capacity; the edgeless one has the largest coefficients
+# of any 64-vertex graph.
+
+
+def test_edgeless_64_binomials():
+    p = independence_polynomial(build_graph(64, []))
+    assert p.coeffs == tuple(comb(64, t) for t in range(65))
+
+
+def test_32_disjoint_edges():
+    g = graph_from_spec("gen:union:" + "+".join(["complete:2"] * 32))
+    assert g.n == 64
+    p = independence_polynomial(g)
+    assert p.coeffs == tuple(comb(32, t) * 2**t for t in range(33))
+
+
+def test_four_kdd8_union():
+    g = graph_from_spec("gen:union:kdd:8+kdd:8+kdd:8+kdd:8")
+    assert independence_polynomial(g) == kdd_union_polynomial(4, 8)
+
+
+@given(
+    st.integers(0, 20),
+    st.sampled_from([0.1, 0.25, 0.5]),
+    st.integers(0, 10 ** 6),
+    st.sampled_from([0, 1, 5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_small_memo_limit_matches_default(n, p, seed, memo_limit):
+    g = random_graph(n, p, seed)
+    full = independence_polynomial(g)
+    assert independence_polynomial(g, memo_limit=memo_limit) == full
+    if n <= 14:
+        assert full == brute_force_polynomial(g)
