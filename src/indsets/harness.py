@@ -1,11 +1,21 @@
 """Batch verification over graph corpora: named checks, records, reports.
 
+Every check reads one GraphFacts per graph, in which P(lam) and its log2 are
+computed once per activity. A bound row (`alekseev_weighted`, ...,
+`cover_count`) compares P(lam), or one coefficient of P, with one closed-form
+bound and returns BoundReports with exact verdicts and log2 margins; `verify`
+folds a check's rows, and `bounds` and `cover` print them.
+
 Checks come in two classes. Proved statements (the ordering bound, the
 weighted independence-number bound, cover certificates, the independent-first
 branch, fixed-size bounds) are "must_hold": a violation means a bug and makes
-the run fail. The conjectured extremal inequalities are "conjecture": a
-violation is data, surfaced as a COUNTEREXAMPLE record with the offending
-graph6 string, and the run exits with a distinct code.
+the run fail. The extremal inequalities are "conjecture": a violation is
+surfaced as a COUNTEREXAMPLE record with the offending graph6 string, and
+the run exits with a distinct code. The count and weighted inequalities
+(`conjecture_counts`, `conjecture_weighted`) are now theorems for every
+d-regular graph: Kahn 2001 for bipartite graphs, Galvin-Tetali 2004 for the
+weighted bipartite case, Zhao 2010 in general. A COUNTEREXAMPLE from either
+therefore means a bug in this package; they keep their class and exit code.
 
 All randomness is derived from (seed, graph id, check name), so records are
 independent of scheduling and reports are byte-identical across runs.
@@ -17,7 +27,8 @@ import concurrent.futures
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import bounds as bd
@@ -40,7 +51,7 @@ from .graphs import (
     parse_graph6,
     write_graph6,
 )
-from .polynomial import independence_polynomial, kdd_union_polynomial
+from .polynomial import IndependencePolynomial, independence_polynomial, kdd_union_polynomial
 
 MUST_HOLD = "must_hold"
 CONJECTURE = "conjecture"
@@ -179,149 +190,238 @@ def random_maximal_independent_set(g: Graph, rng: random.Random) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Per-graph facts and bound rows
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class GraphFacts:
+    """What the checks and bound rows read about one graph, each computed once.
+
+    `evaluations` holds (lam, P(lam), log2 P(lam)) for each activity of the
+    run, in order; `coeffs_log2[t]` is log2 of coefficient t; `phi` is the
+    cover threshold, None when no cover applies (d < 2, or cfg.phi outside
+    (0, d)).
+    """
+
+    graph_id: str
+    g: Graph
+    cfg: RunConfig
+    stats: GraphStats
+    poly: IndependencePolynomial
+    count: int = field(init=False)
+    count_log2: float = field(init=False)
+    coeffs_log2: list[float] = field(init=False)
+    evaluations: list[tuple[Fraction, Fraction, float]] = field(init=False)
+    phi: int | None = field(init=False)
+
+    def __post_init__(self):
+        self.count = self.poly.total()
+        self.count_log2 = bd.log2_fraction(Fraction(self.count))
+        self.coeffs_log2 = [bd.log2_fraction(Fraction(c)) for c in self.poly.coeffs]
+        self.evaluations = []
+        for lam in self.cfg.lambdas:
+            value = self.poly.evaluate(lam)
+            self.evaluations.append((lam, value, bd.log2_fraction(value)))
+        d, phi = self.stats.d, self.cfg.phi
+        if d is None or d < 2:
+            self.phi = None
+        elif phi is None:
+            self.phi = cv.phi_default(d)
+        else:
+            self.phi = phi if 0 < phi < d else None
+
+
+def _judged(report: bd.BoundReport, value, value_log2: float, holds: bool | None = None):
+    """`report` with margin log2(bound) - log2(value) and an exact verdict: `holds`
+    (the row's own predicate) when given, else value <= bound if the bound is rational."""
+    report.margin_log2 = report.log2_value - value_log2
+    if holds is None and report.exact_value is not None:
+        holds = value <= report.exact_value
+    report.holds_exact = holds
+    return report
+
+
+def alekseev_weighted(f: GraphFacts) -> list[bd.BoundReport]:
+    """P(lam) <= (1 + lam*n/alpha)^alpha per activity; needs n >= 1."""
+    n, alpha = f.stats.n, f.stats.alpha
+    return [
+        _judged(bd.alekseev_weighted_bound(n, alpha, lam), value, value_log2)
+        for lam, value, value_log2 in f.evaluations
+    ]
+
+
+def conjecture_counts(f: GraphFacts) -> list[bd.BoundReport]:
+    """P(1)^(2d) <= (2^(d+1) - 1)^n; marks equality. Needs d >= 1."""
+    n, d = f.stats.n, f.stats.d
+    report = _judged(
+        bd.conjecture_bound(n, d), f.count, f.count_log2, bd.conjecture_holds_exact(f.count, n, d)
+    )
+    if f.count ** (2 * d) == (2 ** (d + 1) - 1) ** n:
+        report.constants["equality"] = True
+    return [report]
+
+
+def conjecture_weighted(f: GraphFacts) -> list[bd.BoundReport]:
+    """P(lam)^(2d) <= (2(1+lam)^d - 1)^n per activity; needs d >= 1."""
+    n, d = f.stats.n, f.stats.d
+    return [
+        _judged(
+            bd.kdd_weighted_bound(n, d, lam),
+            value,
+            value_log2,
+            bd.weighted_conjecture_holds_exact(value, n, d, lam),
+        )
+        for lam, value, value_log2 in f.evaluations
+    ]
+
+
+def independent_first(f: GraphFacts) -> list[bd.BoundReport]:
+    """P(lam) <= (1+lam)^(n/2) 2^((n-alpha)/d) per activity; needs d >= 1, 2 alpha <= n."""
+    n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
+    return [
+        _judged(
+            bd.independent_first_bound(n, d, alpha, lam),
+            value,
+            value_log2,
+            bd.independent_first_holds_exact(value, n, d, alpha, lam),
+        )
+        for lam, value, value_log2 in f.evaluations
+    ]
+
+
+def fixed_size(f: GraphFacts) -> list[bd.BoundReport]:
+    """i_t <= exp2{(n/2)(H(2t/n) + 2/d)} for each coefficient t; needs d >= 1."""
+    n, d = f.stats.n, f.stats.d
+    rhs = bd.fixed_size_rhs(n, d)
+    return [
+        _judged(
+            bd.fixed_size_bound(n, d, t),
+            count,
+            f.coeffs_log2[t],
+            bd.fixed_size_holds_exact(count, n, d, t, rhs),
+        )
+        for t, count in enumerate(f.poly.coeffs)
+    ]
+
+
+def cover_count(f: GraphFacts) -> list[bd.BoundReport]:
+    """P(lam) <= the exact cover-counting bound per activity; empty when phi is None."""
+    if f.phi is None:
+        return []
+    n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
+    return [
+        _judged(cv.cover_count_bound(n, d, alpha, lam, f.phi), value, value_log2)
+        for lam, value, value_log2 in f.evaluations
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Named checks
 # ---------------------------------------------------------------------------
 
 
-def _skip(name, check_class, reason):
-    return CheckResult(name, check_class, "skip", witness={"reason": reason})
+@dataclass(frozen=True)
+class Check:
+    """A named check: its class, the smallest regular degree it needs (None:
+    any graph), and its body, called with the check and the graph's facts."""
+
+    name: str
+    check_class: str
+    min_degree: int | None
+    body: Callable[[Check, GraphFacts], CheckResult]
+
+    def __call__(self, facts: GraphFacts) -> CheckResult:
+        d = facts.stats.d
+        if self.min_degree is not None and (d is None or d < self.min_degree):
+            return self.skip(f"needs a regular graph with d >= {self.min_degree}")
+        return self.body(self, facts)
+
+    def skip(self, reason: str) -> CheckResult:
+        return CheckResult(self.name, self.check_class, "skip", witness={"reason": reason})
+
+    def result(self, ok: bool, witness: dict | None = None, margin: float | None = None):
+        status = "pass" if ok else "fail"
+        return CheckResult(self.name, self.check_class, status, ok, margin, witness or {})
+
+    def fold(self, reports: list[bd.BoundReport], witness) -> CheckResult:
+        """Fail at the first report whose verdict is false, with witness(index,
+        report); otherwise pass with the smallest margin."""
+        margin = None
+        for i, rep in enumerate(reports):
+            if not rep.holds_exact:
+                return self.result(False, witness(i, rep))
+            margin = rep.margin_log2 if margin is None else min(margin, rep.margin_log2)
+        return self.result(True, margin=margin)
 
 
-def _check_alpha_half(g, stats, poly, cfg, graph_id):
-    if stats.d is None or stats.d < 1:
-        return _skip("alpha_le_half", MUST_HOLD, "needs a regular graph with d >= 1")
-    ok = 2 * stats.alpha <= stats.n
-    return CheckResult(
-        "alpha_le_half",
-        MUST_HOLD,
-        "pass" if ok else "fail",
-        holds_exact=ok,
-        witness={} if ok else {"alpha": stats.alpha, "n": stats.n},
-    )
+def _at(f: GraphFacts, i: int) -> dict:
+    lam, value, _ = f.evaluations[i]
+    return {"activity": str(lam), "value": str(value)}
 
 
-def _check_poly_degree(g, stats, poly, cfg, graph_id):
-    ok = poly.degree == stats.alpha
-    return CheckResult(
-        "poly_degree_matches_alpha",
-        MUST_HOLD,
-        "pass" if ok else "fail",
-        holds_exact=ok,
-        witness={} if ok else {"degree": poly.degree, "alpha": stats.alpha},
-    )
+def _alpha_le_half(c: Check, f: GraphFacts) -> CheckResult:
+    ok = 2 * f.stats.alpha <= f.stats.n
+    return c.result(ok, {} if ok else {"alpha": f.stats.alpha, "n": f.stats.n})
 
 
-def _check_alekseev_weighted(g, stats, poly, cfg, graph_id):
-    if stats.n < 1:
-        return _skip("alekseev_weighted", MUST_HOLD, "empty graph")
-    expect_equality = is_union_of_equal_cliques(g)
-    margin = None
-    for lam in cfg.lambdas:
-        value = poly.evaluate(lam)
-        bound = (1 + lam * stats.n / stats.alpha) ** stats.alpha
-        if value > bound:
-            return CheckResult(
-                "alekseev_weighted",
-                MUST_HOLD,
-                "fail",
-                holds_exact=False,
-                witness={"activity": str(lam), "value": str(value), "bound": str(bound)},
-            )
-        if (value == bound) != expect_equality:
-            return CheckResult(
-                "alekseev_weighted",
-                MUST_HOLD,
-                "fail",
-                holds_exact=False,
-                witness={
-                    "activity": str(lam),
-                    "equality": value == bound,
-                    "union_of_equal_cliques": expect_equality,
-                },
-            )
-        gap = bd.log2_fraction(bound) - bd.log2_fraction(value)
-        margin = gap if margin is None else min(margin, gap)
-    return CheckResult(
-        "alekseev_weighted", MUST_HOLD, "pass", holds_exact=True, margin_log2=margin
-    )
+def _poly_degree_matches_alpha(c: Check, f: GraphFacts) -> CheckResult:
+    ok = f.poly.degree == f.stats.alpha
+    return c.result(ok, {} if ok else {"degree": f.poly.degree, "alpha": f.stats.alpha})
 
 
-def _check_conjecture_counts(g, stats, poly, cfg, graph_id):
-    if stats.d is None or stats.d < 1:
-        return _skip("conjecture_counts", CONJECTURE, "needs a regular graph with d >= 1")
-    total = poly.total()
-    ok = bd.conjecture_holds_exact(total, stats.n, stats.d)
-    margin = bd.conjecture_bound(stats.n, stats.d).log2_value - bd.log2_fraction(
-        Fraction(total)
-    )
-    witness = {}
-    if not ok:
-        witness = {"count": str(total), "n": stats.n, "d": stats.d}
-    return CheckResult(
-        "conjecture_counts",
-        CONJECTURE,
-        "pass" if ok else "fail",
-        holds_exact=ok,
-        margin_log2=margin,
-        witness=witness,
-    )
+def _alekseev_weighted(c: Check, f: GraphFacts) -> CheckResult:
+    """The bound at every activity, with equality exactly on unions of equal cliques."""
+    if f.stats.n < 1:
+        return c.skip("empty graph")
+    reports = alekseev_weighted(f)
+    result = c.fold(reports, lambda i, rep: {**_at(f, i), "bound": str(rep.exact_value)})
+    expect = is_union_of_equal_cliques(f.g)
+    for (lam, value, _), rep in zip(f.evaluations, reports):
+        equality = value == rep.exact_value
+        if result.status == "pass" and equality != expect:
+            witness = {"activity": str(lam), "equality": equality, "union_of_equal_cliques": expect}
+            return c.result(False, witness)
+    return result
 
 
-def _check_conjecture_weighted(g, stats, poly, cfg, graph_id):
-    if stats.d is None or stats.d < 1:
-        return _skip("conjecture_weighted", CONJECTURE, "needs a regular graph with d >= 1")
-    margin = None
-    for lam in cfg.lambdas:
-        value = poly.evaluate(lam)
-        if not bd.weighted_conjecture_holds_exact(value, stats.n, stats.d, lam):
-            return CheckResult(
-                "conjecture_weighted",
-                CONJECTURE,
-                "fail",
-                holds_exact=False,
-                witness={"activity": str(lam), "value": str(value)},
-            )
-        gap = bd.kdd_weighted_bound(stats.n, stats.d, lam).log2_value - bd.log2_fraction(value)
-        margin = gap if margin is None else min(margin, gap)
-    return CheckResult(
-        "conjecture_weighted", CONJECTURE, "pass", holds_exact=True, margin_log2=margin
-    )
+def _conjecture_counts(c: Check, f: GraphFacts) -> CheckResult:
+    witness = {"count": str(f.count), "n": f.stats.n, "d": f.stats.d}
+    return c.fold(conjecture_counts(f), lambda i, rep: witness)
 
 
-def _check_order_bound(g, stats, poly, cfg, graph_id):
+def _conjecture_weighted(c: Check, f: GraphFacts) -> CheckResult:
+    return c.fold(conjecture_weighted(f), lambda i, rep: _at(f, i))
+
+
+def _order_bound(c: Check, f: GraphFacts) -> CheckResult:
     """P(lam)^d <= prod_v (2(1+lam)^p(v) - 1) on cfg.orders random orders.
 
     The product depends only on the order's histogram of p-values, so each
     distinct (histogram, lam) pair is compared once; a repeat has the same
     verdict and gap and cannot change the first failure or the minimum gap.
     """
-    if stats.d is None or stats.d < 1:
-        return _skip("order_bound", MUST_HOLD, "needs a regular graph with d >= 1")
+    cfg, n, d = f.cfg, f.stats.n, f.stats.d
     if cfg.orders == 0:
-        return _skip("order_bound", MUST_HOLD, "no orders requested")
-    d = stats.d
-    rng = _rng(cfg, graph_id, "order_bound")
-    # Per activity: the value, its d-th power, its log2, and the histograms seen.
-    per_lam = []
-    for lam in cfg.lambdas:
-        value = poly.evaluate(lam)
-        per_lam.append((lam, value, value**d, bd.log2_fraction(value), set()))
+        return c.skip("no orders requested")
+    rng = _rng(cfg, f.graph_id, "order_bound")
+    # Per activity, in a list: the value, its d-th power, its log2, and the
+    # histograms seen. A dict keyed by the activity would hash a Fraction,
+    # which is Python code, on every lookup.
+    per_lam = [(lam, value, value**d, value_log2, set()) for lam, value, value_log2 in f.evaluations]
     margin = None
     for _ in range(cfg.orders):
-        order = rng.sample(range(stats.n), stats.n)
-        hist = bd.order_histogram(g, order, d)
+        order = rng.sample(range(n), n)
+        hist = bd.order_histogram(f.g, order, d)
         for lam, value, power, value_log2, seen in per_lam:
             if hist in seen:
                 continue
             seen.add(hist)
-            product = bd.order_product(hist, lam, stats.edge_count)
+            product = bd.order_product(hist, lam, f.stats.edge_count)
             if power > product:
-                return CheckResult(
-                    "order_bound",
-                    MUST_HOLD,
-                    "fail",
-                    holds_exact=False,
-                    witness={
+                return c.result(
+                    False,
+                    {
                         "activity": str(lam),
                         "order": order,
                         "value": str(value),
@@ -330,149 +430,76 @@ def _check_order_bound(g, stats, poly, cfg, graph_id):
                 )
             gap = bd.log2_fraction(product) / d - value_log2
             margin = gap if margin is None else min(margin, gap)
-    return CheckResult(
-        "order_bound", MUST_HOLD, "pass", holds_exact=True, margin_log2=margin
+    return c.result(True, margin=margin)
+
+
+def _independent_first(c: Check, f: GraphFacts) -> CheckResult:
+    if 2 * f.stats.alpha > f.stats.n:
+        return c.result(False, {"reason": "alpha exceeds n/2 on a regular graph"})
+    return c.fold(independent_first(f), lambda i, rep: _at(f, i))
+
+
+def _fixed_size(c: Check, f: GraphFacts) -> CheckResult:
+    result = c.fold(
+        fixed_size(f),
+        lambda t, rep: {"t": t, "count": str(f.poly.coeffs[t]), "bound_log2": rep.log2_value},
+    )
+    result.holds_exact = None
+    return result
+
+
+def _cover_certificate(c: Check, f: GraphFacts) -> CheckResult:
+    if f.phi is None:
+        return c.skip("phi outside (0, d)")
+    rng = _rng(f.cfg, f.graph_id, "cover_certificate")
+    cert = cv.build_cover(f.g, random_maximal_independent_set(f.g, rng), f.phi)
+    ok, reason = cv.verify_cover(f.g, cert)
+    if ok:
+        return c.result(True, {"phi": f.phi, "seed_size": cert.seed.bit_count()})
+    return c.result(
+        False, {"phi": f.phi, "reason": reason, "certificate": json.loads(cert.to_json())}
     )
 
 
-def _check_independent_first(g, stats, poly, cfg, graph_id):
-    if stats.d is None or stats.d < 1:
-        return _skip("independent_first", MUST_HOLD, "needs a regular graph with d >= 1")
-    if 2 * stats.alpha > stats.n:
-        return CheckResult(
-            "independent_first",
-            MUST_HOLD,
-            "fail",
-            holds_exact=False,
-            witness={"reason": "alpha exceeds n/2 on a regular graph"},
-        )
-    margin = None
-    for lam in cfg.lambdas:
-        value = poly.evaluate(lam)
-        if not bd.independent_first_holds_exact(value, stats.n, stats.d, stats.alpha, lam):
-            return CheckResult(
-                "independent_first",
-                MUST_HOLD,
-                "fail",
-                holds_exact=False,
-                witness={"activity": str(lam), "value": str(value)},
+def _cover_count(c: Check, f: GraphFacts) -> CheckResult:
+    if f.phi is None:
+        return c.skip("phi outside (0, d)")
+    return c.fold(cover_count(f), lambda i, rep: {**_at(f, i), "phi": f.phi})
+
+
+def _conjecture_fixed_size(c: Check, f: GraphFacts) -> CheckResult:
+    n, d = f.stats.n, f.stats.d
+    if n % (2 * d) != 0:
+        return c.skip("2d does not divide n")
+    target = kdd_union_polynomial(n // (2 * d), d)
+    for t, count in enumerate(f.poly.coeffs):
+        if count > target.coefficient(t):
+            return c.result(
+                False, {"t": t, "count": str(count), "extremal": str(target.coefficient(t))}
             )
-        gap = bd.independent_first_bound(
-            stats.n, stats.d, stats.alpha, lam
-        ).log2_value - bd.log2_fraction(value)
-        margin = gap if margin is None else min(margin, gap)
-    return CheckResult(
-        "independent_first", MUST_HOLD, "pass", holds_exact=True, margin_log2=margin
+    return c.result(True)
+
+
+CHECK_TABLE = {
+    check.name: check
+    for check in (
+        Check("alpha_le_half", MUST_HOLD, 1, _alpha_le_half),
+        Check("poly_degree_matches_alpha", MUST_HOLD, None, _poly_degree_matches_alpha),
+        Check("alekseev_weighted", MUST_HOLD, None, _alekseev_weighted),
+        Check("conjecture_counts", CONJECTURE, 1, _conjecture_counts),
+        Check("conjecture_weighted", CONJECTURE, 1, _conjecture_weighted),
+        Check("order_bound", MUST_HOLD, 1, _order_bound),
+        Check("independent_first", MUST_HOLD, 1, _independent_first),
+        Check("fixed_size", MUST_HOLD, 1, _fixed_size),
+        Check("cover_certificate", MUST_HOLD, 2, _cover_certificate),
+        Check("cover_count", MUST_HOLD, 2, _cover_count),
+        Check("conjecture_fixed_size", CONJECTURE, 1, _conjecture_fixed_size),
     )
-
-
-def _check_fixed_size(g, stats, poly, cfg, graph_id):
-    if stats.d is None or stats.d < 1:
-        return _skip("fixed_size", MUST_HOLD, "needs a regular graph with d >= 1")
-    rhs = bd.fixed_size_rhs(stats.n, stats.d)
-    margin = None
-    for t, count in enumerate(poly.coeffs):
-        count_log2 = bd.log2_fraction(Fraction(count))
-        bound_log2 = bd.fixed_size_bound(stats.n, stats.d, t).log2_value
-        if not bd.fixed_size_holds_exact(count, stats.n, stats.d, t, rhs):
-            return CheckResult(
-                "fixed_size",
-                MUST_HOLD,
-                "fail",
-                witness={"t": t, "count": str(count), "bound_log2": bound_log2},
-            )
-        gap = bound_log2 - count_log2
-        margin = gap if margin is None else min(margin, gap)
-    return CheckResult("fixed_size", MUST_HOLD, "pass", margin_log2=margin)
-
-
-def _phi_for(cfg: RunConfig, d: int) -> int | None:
-    if cfg.phi is None:
-        return cv.phi_default(d)
-    return cfg.phi if 0 < cfg.phi < d else None
-
-
-def _check_cover_certificate(g, stats, poly, cfg, graph_id):
-    if stats.d is None or stats.d < 2:
-        return _skip("cover_certificate", MUST_HOLD, "needs a regular graph with d >= 2")
-    phi = _phi_for(cfg, stats.d)
-    if phi is None:
-        return _skip("cover_certificate", MUST_HOLD, "phi outside (0, d)")
-    rng = _rng(cfg, graph_id, "cover_certificate")
-    independent = random_maximal_independent_set(g, rng)
-    cert = cv.build_cover(g, independent, phi)
-    ok, reason = cv.verify_cover(g, cert)
-    return CheckResult(
-        "cover_certificate",
-        MUST_HOLD,
-        "pass" if ok else "fail",
-        holds_exact=ok,
-        witness={"phi": phi, "seed_size": cert.seed.bit_count()}
-        if ok
-        else {"phi": phi, "reason": reason, "certificate": json.loads(cert.to_json())},
-    )
-
-
-def _check_cover_count(g, stats, poly, cfg, graph_id):
-    if stats.d is None or stats.d < 2:
-        return _skip("cover_count", MUST_HOLD, "needs a regular graph with d >= 2")
-    phi = _phi_for(cfg, stats.d)
-    if phi is None:
-        return _skip("cover_count", MUST_HOLD, "phi outside (0, d)")
-    margin = None
-    for lam in cfg.lambdas:
-        value = poly.evaluate(lam)
-        report = cv.cover_count_bound(stats.n, stats.d, stats.alpha, lam, phi)
-        if value > report.exact_value:
-            return CheckResult(
-                "cover_count",
-                MUST_HOLD,
-                "fail",
-                holds_exact=False,
-                witness={"activity": str(lam), "value": str(value), "phi": phi},
-            )
-        gap = report.log2_value - bd.log2_fraction(value)
-        margin = gap if margin is None else min(margin, gap)
-    return CheckResult(
-        "cover_count", MUST_HOLD, "pass", holds_exact=True, margin_log2=margin
-    )
-
-
-def _check_conjecture_fixed_size(g, stats, poly, cfg, graph_id):
-    if stats.d is None or stats.d < 1:
-        return _skip("conjecture_fixed_size", CONJECTURE, "needs a regular graph with d >= 1")
-    if stats.n % (2 * stats.d) != 0:
-        return _skip("conjecture_fixed_size", CONJECTURE, "2d does not divide n")
-    target = kdd_union_polynomial(stats.n // (2 * stats.d), stats.d)
-    for t in range(poly.degree + 1):
-        if poly.coefficient(t) > target.coefficient(t):
-            return CheckResult(
-                "conjecture_fixed_size",
-                CONJECTURE,
-                "fail",
-                holds_exact=False,
-                witness={
-                    "t": t,
-                    "count": str(poly.coefficient(t)),
-                    "extremal": str(target.coefficient(t)),
-                },
-            )
-    return CheckResult("conjecture_fixed_size", CONJECTURE, "pass", holds_exact=True)
-
-
-CHECKS = {
-    "alpha_le_half": _check_alpha_half,
-    "poly_degree_matches_alpha": _check_poly_degree,
-    "alekseev_weighted": _check_alekseev_weighted,
-    "conjecture_counts": _check_conjecture_counts,
-    "conjecture_weighted": _check_conjecture_weighted,
-    "order_bound": _check_order_bound,
-    "independent_first": _check_independent_first,
-    "fixed_size": _check_fixed_size,
-    "cover_certificate": _check_cover_certificate,
-    "cover_count": _check_cover_count,
-    "conjecture_fixed_size": _check_conjecture_fixed_size,
 }
+# The checks verify_graph runs, in report order. It looks each one up here at
+# call time, so an entry may be replaced or wrapped in place (a tracer does);
+# CHECK_TABLE keeps every check's class for records of skipped graphs.
+CHECKS = dict(CHECK_TABLE)
 
 
 def verify_graph(graph_id: str, g: Graph, cfg: RunConfig) -> VerificationRecord:
@@ -480,19 +507,12 @@ def verify_graph(graph_id: str, g: Graph, cfg: RunConfig) -> VerificationRecord:
     line = write_graph6(g)
     enabled = cfg.enabled_checks()
     if g.n > cfg.cap:
-        checks = [
-            _skip(name, _class_of(name), f"n={g.n} exceeds cap {cfg.cap}")
-            for name in enabled
-        ]
+        reason = f"n={g.n} exceeds cap {cfg.cap}"
+        checks = [CHECK_TABLE[name].skip(reason) for name in enabled]
         return VerificationRecord(graph_id, line, None, checks)
-    stats = graph_stats(g)
-    poly = independence_polynomial(g)
-    checks = [CHECKS[name](g, stats, poly, cfg, graph_id) for name in enabled]
-    return VerificationRecord(graph_id, line, stats, checks)
-
-
-def _class_of(name: str) -> str:
-    return CONJECTURE if name.startswith("conjecture") else MUST_HOLD
+    facts = GraphFacts(graph_id, g, cfg, graph_stats(g), independence_polynomial(g))
+    checks = [CHECKS[name](facts) for name in enabled]
+    return VerificationRecord(graph_id, line, facts.stats, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -693,148 +713,86 @@ def poly_summary(g: Graph, cfg: RunConfig) -> dict:
     }
 
 
-def _with_margin(report: bd.BoundReport, value_log2: float, value: Fraction | None = None):
-    report.margin_log2 = report.log2_value - value_log2
-    if value is not None and report.exact_value is not None:
-        report.holds_exact = value <= report.exact_value
-    return report
-
-
 def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.BoundReport], list[str]]:
     """Drive every bound evaluator applicable to one graph.
 
     Returns (stats, reports, notices); regular-only bounds are skipped with a
     notice on irregular input, and exact pass/fail is filled wherever the
-    bound is rational.
+    bound is rational. The bound rows appear among the informational bounds,
+    interleaved per activity.
     """
-    stats = graph_stats(g)
-    poly = independence_polynomial(g)
-    notices: list[str] = []
-    reports: list[bd.BoundReport] = []
-    if stats.n < 1:
-        return stats, reports, ["empty graph: nothing to bound"]
-
-    total = Fraction(poly.total())
-    total_log2 = bd.log2_fraction(total)
-    values = {lam: poly.evaluate(lam) for lam in cfg.lambdas}
-
-    reports.append(_with_margin(bd.alekseev_bound(stats.n, stats.alpha), total_log2, total))
-    for lam in cfg.lambdas:
-        reports.append(
-            _with_margin(
-                bd.alekseev_weighted_bound(stats.n, stats.alpha, lam),
-                bd.log2_fraction(values[lam]),
-                values[lam],
-            )
-        )
-
-    d = stats.d
+    f = GraphFacts("", g, cfg, graph_stats(g), independence_polynomial(g))
+    n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
+    if n < 1:
+        return f.stats, [], ["empty graph: nothing to bound"]
+    reports = [_judged(bd.alekseev_bound(n, alpha), f.count, f.count_log2)]
+    reports += alekseev_weighted(f)
     if d is None or d < 1:
-        notices.append("graph is not d-regular with d >= 1: regular-only bounds skipped")
-        return stats, reports, notices
+        notice = "graph is not d-regular with d >= 1: regular-only bounds skipped"
+        return f.stats, reports, [notice]
 
-    reports.append(_with_margin(bd.alon_bound(stats.n, d, cfg.C), total_log2))
-    reports.append(_with_margin(bd.sapozhenko_simple_bound(stats.n, d, cfg.C), total_log2))
-    reports.append(_with_margin(bd.kahn_bound(stats.n, d), total_log2, total))
-
-    conj = _with_margin(bd.conjecture_bound(stats.n, d), total_log2, total)
-    conj.holds_exact = bd.conjecture_holds_exact(poly.total(), stats.n, d)
-    if poly.total() ** (2 * d) == (2 ** (d + 1) - 1) ** stats.n:
-        conj.constants["equality"] = True
-    reports.append(conj)
-
-    for lam in cfg.lambdas:
-        value_log2 = bd.log2_fraction(values[lam])
-        weighted = _with_margin(bd.kdd_weighted_bound(stats.n, d, lam), value_log2)
-        weighted.holds_exact = bd.weighted_conjecture_holds_exact(values[lam], stats.n, d, lam)
-        reports.append(weighted)
-        reports.append(
-            _with_margin(bd.weighted_kahn_bound(stats.n, d, lam), value_log2, values[lam])
-        )
-        first = _with_margin(
-            bd.independent_first_bound(stats.n, d, stats.alpha, lam), value_log2
-        )
-        first.holds_exact = bd.independent_first_holds_exact(
-            values[lam], stats.n, d, stats.alpha, lam
-        )
-        reports.append(first)
-        order = bd.order_bound(g, range(stats.n), lam)
-        order.holds_exact = values[lam] ** d <= order.exact_value
+    reports += [
+        _judged(bd.alon_bound(n, d, cfg.C), f.count, f.count_log2),
+        _judged(bd.sapozhenko_simple_bound(n, d, cfg.C), f.count, f.count_log2),
+        _judged(bd.kahn_bound(n, d), f.count, f.count_log2),
+        *conjecture_counts(f),
+    ]
+    weighted, first = conjecture_weighted(f), independent_first(f)
+    for i, (lam, value, value_log2) in enumerate(f.evaluations):
+        order = bd.order_bound(g, range(n), lam)
+        order.holds_exact = value**d <= order.exact_value
         order.margin_log2 = order.constants["bound_log2"] - value_log2
-        reports.append(order)
+        reports += [
+            weighted[i],
+            _judged(bd.weighted_kahn_bound(n, d, lam), value, value_log2),
+            first[i],
+            order,
+        ]
+    for rep in fixed_size(f):
+        rep.holds_exact = None
+        reports.append(rep)
 
-    for t in range(poly.degree + 1):
-        coeff_log2 = bd.log2_fraction(Fraction(poly.coefficient(t)))
-        reports.append(_with_margin(bd.fixed_size_bound(stats.n, d, t), coeff_log2))
-
-    if d >= 2:
-        reports.append(_with_margin(bd.improved_count_bound(stats.n, d, cfg.C), total_log2))
-        phi = _phi_for(cfg, d)
-        for lam in cfg.lambdas:
-            value_log2 = bd.log2_fraction(values[lam])
-            reports.append(
-                _with_margin(
-                    bd.improved_weighted_bound(stats.n, d, lam, cfg.c_lambda_for(lam)),
-                    value_log2,
-                )
-            )
-            reports.append(
-                _with_margin(
-                    cv.sapozhenko_alpha_bound(stats.n, d, stats.alpha, lam, cfg.c),
-                    value_log2,
-                )
-            )
-            if phi is not None:
-                reports.append(
-                    _with_margin(
-                        cv.cover_count_bound(stats.n, d, stats.alpha, lam, phi),
-                        value_log2,
-                        values[lam],
-                    )
-                )
-        for t in range(poly.degree + 1):
-            coeff_log2 = bd.log2_fraction(Fraction(poly.coefficient(t)))
-            reports.append(
-                _with_margin(
-                    bd.improved_fixed_size_bound(stats.n, d, t, cfg.c_alpha_for(1)),
-                    coeff_log2,
-                )
-            )
-        exact, expansion = bd.kdd_exponent_expansion(d)
-        reports.append(
-            bd.BoundReport(
-                "kdd_exponent_expansion",
-                exact,
-                constants={"d": d, "exact": exact, "expansion": expansion},
-            )
+    if d < 2:
+        return f.stats, reports, ["d < 2: refined bounds and cover bounds skipped"]
+    reports.append(_judged(bd.improved_count_bound(n, d, cfg.C), f.count, f.count_log2))
+    covers = cover_count(f)
+    for i, (lam, value, value_log2) in enumerate(f.evaluations):
+        reports += [
+            _judged(
+                bd.improved_weighted_bound(n, d, lam, cfg.c_lambda_for(lam)), value, value_log2
+            ),
+            _judged(cv.sapozhenko_alpha_bound(n, d, alpha, lam, cfg.c), value, value_log2),
+            *covers[i : i + 1],
+        ]
+    for t, count in enumerate(f.poly.coeffs):
+        improved = bd.improved_fixed_size_bound(n, d, t, cfg.c_alpha_for(1))
+        reports.append(_judged(improved, count, f.coeffs_log2[t]))
+    exact, expansion = bd.kdd_exponent_expansion(d)
+    reports.append(
+        bd.BoundReport(
+            "kdd_exponent_expansion",
+            exact,
+            constants={"d": d, "exact": exact, "expansion": expansion},
         )
-    else:
-        notices.append("d < 2: refined bounds and cover bounds skipped")
-    return stats, reports, notices
+    )
+    return f.stats, reports, []
 
 
 def cover_summary(g: Graph, independent_set: int, phi: int | None, cfg: RunConfig) -> dict:
-    """Build a certificate, re-verify it, and attach the counting bound."""
+    """Build a certificate, re-verify it, and attach the cover_count rows."""
     if not is_independent(g, independent_set):
         raise GraphError(f"set {mask_vertices(independent_set)} is not independent")
-    stats = graph_stats(g)
-    if stats.d is None or stats.d < 2:
+    d = g.regular_degree()
+    if d is None or d < 2:
         raise GraphError("cover construction requires a d-regular graph with d >= 2")
-    use_phi = phi if phi is not None else cv.phi_default(stats.d)
+    use_phi = phi if phi is not None else cv.phi_default(d)
     cert = cv.build_cover(g, independent_set, use_phi)
     ok, reason = cv.verify_cover(g, cert)
-    poly = independence_polynomial(g)
-    bounds = []
-    for lam in cfg.lambdas:
-        report = cv.cover_count_bound(stats.n, stats.d, stats.alpha, lam, use_phi)
-        value = poly.evaluate(lam)
-        report.holds_exact = value <= report.exact_value
-        report.margin_log2 = report.log2_value - bd.log2_fraction(value)
-        bounds.append(report.to_dict())
+    f = GraphFacts("", g, replace(cfg, phi=use_phi), graph_stats(g), independence_polynomial(g))
     return {
         "certificate": json.loads(cert.to_json()),
         "verified": ok,
         "reason": reason,
-        "stats": {"n": stats.n, "d": stats.d, "alpha": stats.alpha},
-        "cover_count_bounds": bounds,
+        "stats": {"n": f.stats.n, "d": f.stats.d, "alpha": f.stats.alpha},
+        "cover_count_bounds": [rep.to_dict() for rep in cover_count(f)],
     }

@@ -18,8 +18,9 @@ from indsets.graphs import (
 from indsets.harness import (
     CheckResult,
     RunConfig,
+    CHECKS,
+    GraphFacts,
     VerificationRecord,
-    _check_fixed_size,
     bounds_for_graph,
     cover_summary,
     graph_from_spec,
@@ -400,7 +401,7 @@ def test_fixed_size_check_is_exact_at_the_threshold():
     stats = graph_stats(g)
     at = IndependencePolynomial(10, (1, 10, 291, 30, 5))
     above = IndependencePolynomial(10, (1, 10, 292, 30, 5))
-    assert _check_fixed_size(g, stats, at, RunConfig(), "p").status == "pass"
-    res = _check_fixed_size(g, stats, above, RunConfig(), "p")
+    assert CHECKS["fixed_size"](GraphFacts("p", g, RunConfig(), stats, at)).status == "pass"
+    res = CHECKS["fixed_size"](GraphFacts("p", g, RunConfig(), stats, above))
     assert res.status == "fail"
     assert res.witness["t"] == 2 and res.witness["count"] == "292"

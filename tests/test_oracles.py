@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from indsets import bounds as bd
 from indsets.graphs import GraphError, gen_petersen, gen_random_regular, graph_stats
-from indsets.harness import CheckResult, RunConfig, _check_order_bound
+from indsets.harness import CHECKS, CheckResult, GraphFacts, RunConfig
 from indsets.polynomial import IndependencePolynomial, independence_polynomial
 
 
@@ -135,7 +135,7 @@ def test_check_order_bound_failure_witness_matches_loop():
     stats = graph_stats(g)
     poly = IndependencePolynomial(10, (1, 10, 30, 30, 39))
     cfg = RunConfig(orders=20, seed=0)
-    got = _check_order_bound(g, stats, poly, cfg, "petersen")
+    got = CHECKS["order_bound"](GraphFacts("petersen", g, cfg, stats, poly))
     rng = random.Random("0:petersen:order_bound")
     orders = [rng.sample(range(10), 10) for _ in range(14)]
     assert got.status == "fail"
@@ -159,7 +159,7 @@ def test_check_order_bound_matches_undeduplicated_loop(g, lambdas, orders, seed,
     if inflate is not None:
         poly = _inflated(poly, inflate)
     cfg = RunConfig(lambdas=tuple(lambdas), orders=orders, seed=seed)
-    got = _check_order_bound(g, stats, poly, cfg, "g")
+    got = CHECKS["order_bound"](GraphFacts("g", g, cfg, stats, poly))
     if orders == 0:
         assert got.status == "skip" and got.witness == {"reason": "no orders requested"}
         return
