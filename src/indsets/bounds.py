@@ -53,37 +53,6 @@ class BoundReport:
         return out
 
 
-@dataclass
-class BoundParams:
-    """Parameter bundle for driving the evaluators over one graph.
-
-    `d` is None for irregular graphs (regular-only bounds then do not apply);
-    the unspecified universal constants carry caller-chosen values.
-    """
-
-    n: int
-    d: int | None
-    alpha: int
-    activity: Fraction = Fraction(1)
-    C: float = DEFAULT_BIG_C
-    c: float = DEFAULT_SMALL_C
-    c_lambda: float | None = None
-    c_alpha: float | None = None
-    t: int | None = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        if self.d is not None and not 1 <= self.d < self.n:
-            raise ValueError("need 1 <= d < n for a usable degree")
-        if not 0 <= self.alpha <= self.n:
-            raise ValueError("need 0 <= alpha <= n")
-        if Fraction(self.activity) <= 0:
-            raise ValueError("activity must be positive")
-        if self.t is not None and not 0 <= self.t <= self.n:
-            raise ValueError("need 0 <= t <= n")
-
-
 def _exact_report(name: str, exact: Fraction, **constants) -> BoundReport:
     return BoundReport(
         name=name,

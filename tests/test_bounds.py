@@ -348,22 +348,6 @@ def test_report_serialization_shape():
     assert doc["constants"]["C"] == 2.0
 
 
-def test_bound_params_validation():
-    from indsets.bounds import BoundParams
-
-    params = BoundParams(n=10, d=3, alpha=4, activity=HALF, t=2)
-    assert params.C == 2.0 and params.c == 1.0
-    assert BoundParams(n=3, d=None, alpha=2).d is None
-    with pytest.raises(ValueError):
-        BoundParams(n=10, d=10, alpha=4)
-    with pytest.raises(ValueError):
-        BoundParams(n=10, d=3, alpha=11)
-    with pytest.raises(ValueError):
-        BoundParams(n=10, d=3, alpha=4, activity=0)
-    with pytest.raises(ValueError):
-        BoundParams(n=10, d=3, alpha=4, t=11)
-
-
 def test_log2_fraction_huge_values():
     q = Fraction(3 ** 2000, 2 ** 1500)
     assert log2_fraction(q) == pytest.approx(2000 * math.log2(3) - 1500, rel=1e-12)
