@@ -440,12 +440,10 @@ def _independent_first(c: Check, f: GraphFacts) -> CheckResult:
 
 
 def _fixed_size(c: Check, f: GraphFacts) -> CheckResult:
-    result = c.fold(
+    return c.fold(
         fixed_size(f),
         lambda t, rep: {"t": t, "count": str(f.poly.coeffs[t]), "bound_log2": rep.log2_value},
     )
-    result.holds_exact = None
-    return result
 
 
 def _cover_certificate(c: Check, f: GraphFacts) -> CheckResult:
@@ -748,9 +746,7 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
             first[i],
             order,
         ]
-    for rep in fixed_size(f):
-        rep.holds_exact = None
-        reports.append(rep)
+    reports += fixed_size(f)
 
     if d < 2:
         return f.stats, reports, ["d < 2: refined bounds and cover bounds skipped"]

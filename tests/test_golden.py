@@ -16,7 +16,11 @@ Regenerate every file, from any directory, with
     PYTHONPATH=src python tests/test_golden.py
 
 and only for an intended change to an output's content; say so in the change
-description.
+description. The files were first written before the bound rows replaced the
+hand-written checks, and that refactor left every byte as it was. They were
+regenerated once since, when `fixed_size` started to report its exact verdict:
+`golden_report.json` gained 16 `"holds_exact": true,` lines and the `bounds`
+files a `holds_exact` for each `fixed_size` row, with nothing else changed.
 """
 
 import contextlib

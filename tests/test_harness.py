@@ -401,7 +401,8 @@ def test_fixed_size_check_is_exact_at_the_threshold():
     stats = graph_stats(g)
     at = IndependencePolynomial(10, (1, 10, 291, 30, 5))
     above = IndependencePolynomial(10, (1, 10, 292, 30, 5))
-    assert CHECKS["fixed_size"](GraphFacts("p", g, RunConfig(), stats, at)).status == "pass"
+    res = CHECKS["fixed_size"](GraphFacts("p", g, RunConfig(), stats, at))
+    assert res.status == "pass" and res.holds_exact is True
     res = CHECKS["fixed_size"](GraphFacts("p", g, RunConfig(), stats, above))
-    assert res.status == "fail"
+    assert res.status == "fail" and res.holds_exact is False
     assert res.witness["t"] == 2 and res.witness["count"] == "292"
