@@ -254,9 +254,8 @@ def alekseev_weighted(f: GraphFacts) -> list[bd.BoundReport]:
 def conjecture_counts(f: GraphFacts) -> list[bd.BoundReport]:
     """P(1)^(2d) <= (2^(d+1) - 1)^n; marks equality. Needs d >= 1."""
     n, d = f.stats.n, f.stats.d
-    report = _judged(
-        bd.conjecture_bound(n, d), f.count, f.count_log2, bd.conjecture_holds_exact(f.count, n, d)
-    )
+    holds = bd.conjecture_holds_exact(f.count, n, d)
+    report = _judged(bd.conjecture_bound(n, d), f.count, f.count_log2, holds)
     if f.count ** (2 * d) == (2 ** (d + 1) - 1) ** n:
         report.constants["equality"] = True
     return [report]
@@ -265,44 +264,33 @@ def conjecture_counts(f: GraphFacts) -> list[bd.BoundReport]:
 def conjecture_weighted(f: GraphFacts) -> list[bd.BoundReport]:
     """P(lam)^(2d) <= (2(1+lam)^d - 1)^n per activity; needs d >= 1."""
     n, d = f.stats.n, f.stats.d
-    return [
-        _judged(
-            bd.kdd_weighted_bound(n, d, lam),
-            value,
-            value_log2,
-            bd.weighted_conjecture_holds_exact(value, n, d, lam),
-        )
-        for lam, value, value_log2 in f.evaluations
-    ]
+    reports = []
+    for lam, value, value_log2 in f.evaluations:
+        holds = bd.weighted_conjecture_holds_exact(value, n, d, lam)
+        reports.append(_judged(bd.kdd_weighted_bound(n, d, lam), value, value_log2, holds))
+    return reports
 
 
 def independent_first(f: GraphFacts) -> list[bd.BoundReport]:
     """P(lam) <= (1+lam)^(n/2) 2^((n-alpha)/d) per activity; needs d >= 1, 2 alpha <= n."""
     n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
-    return [
-        _judged(
-            bd.independent_first_bound(n, d, alpha, lam),
-            value,
-            value_log2,
-            bd.independent_first_holds_exact(value, n, d, alpha, lam),
-        )
-        for lam, value, value_log2 in f.evaluations
-    ]
+    reports = []
+    for lam, value, value_log2 in f.evaluations:
+        bound = bd.independent_first_bound(n, d, alpha, lam)
+        holds = bd.independent_first_holds_exact(value, n, d, alpha, lam)
+        reports.append(_judged(bound, value, value_log2, holds))
+    return reports
 
 
 def fixed_size(f: GraphFacts) -> list[bd.BoundReport]:
     """i_t <= exp2{(n/2)(H(2t/n) + 2/d)} for each coefficient t; needs d >= 1."""
     n, d = f.stats.n, f.stats.d
     rhs = bd.fixed_size_rhs(n, d)
-    return [
-        _judged(
-            bd.fixed_size_bound(n, d, t),
-            count,
-            f.coeffs_log2[t],
-            bd.fixed_size_holds_exact(count, n, d, t, rhs),
-        )
-        for t, count in enumerate(f.poly.coeffs)
-    ]
+    reports = []
+    for t, count in enumerate(f.poly.coeffs):
+        holds = bd.fixed_size_holds_exact(count, n, d, t, rhs)
+        reports.append(_judged(bd.fixed_size_bound(n, d, t), count, f.coeffs_log2[t], holds))
+    return reports
 
 
 def cover_count(f: GraphFacts) -> list[bd.BoundReport]:
@@ -408,7 +396,9 @@ def _order_bound(c: Check, f: GraphFacts) -> CheckResult:
     # Per activity, in a list: the value, its d-th power, its log2, and the
     # histograms seen. A dict keyed by the activity would hash a Fraction,
     # which is Python code, on every lookup.
-    per_lam = [(lam, value, value**d, value_log2, set()) for lam, value, value_log2 in f.evaluations]
+    per_lam = []
+    for lam, value, value_log2 in f.evaluations:
+        per_lam.append((lam, value, value**d, value_log2, set()))
     margin = None
     for _ in range(cfg.orders):
         order = rng.sample(range(n), n)
@@ -715,9 +705,8 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     """Drive every bound evaluator applicable to one graph.
 
     Returns (stats, reports, notices); regular-only bounds are skipped with a
-    notice on irregular input, and exact pass/fail is filled wherever the
-    bound is rational. The bound rows appear among the informational bounds,
-    interleaved per activity.
+    notice on irregular input. The bound rows carry their exact verdicts; the
+    other bounds carry one wherever they are rational.
     """
     f = GraphFacts("", g, cfg, graph_stats(g), independence_polynomial(g))
     n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
@@ -740,12 +729,8 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
         order = bd.order_bound(g, range(n), lam)
         order.holds_exact = value**d <= order.exact_value
         order.margin_log2 = order.constants["bound_log2"] - value_log2
-        reports += [
-            weighted[i],
-            _judged(bd.weighted_kahn_bound(n, d, lam), value, value_log2),
-            first[i],
-            order,
-        ]
+        kahn = _judged(bd.weighted_kahn_bound(n, d, lam), value, value_log2)
+        reports += [weighted[i], kahn, first[i], order]
     reports += fixed_size(f)
 
     if d < 2:
@@ -753,24 +738,17 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     reports.append(_judged(bd.improved_count_bound(n, d, cfg.C), f.count, f.count_log2))
     covers = cover_count(f)
     for i, (lam, value, value_log2) in enumerate(f.evaluations):
-        reports += [
-            _judged(
-                bd.improved_weighted_bound(n, d, lam, cfg.c_lambda_for(lam)), value, value_log2
-            ),
-            _judged(cv.sapozhenko_alpha_bound(n, d, alpha, lam, cfg.c), value, value_log2),
-            *covers[i : i + 1],
-        ]
+        improved = bd.improved_weighted_bound(n, d, lam, cfg.c_lambda_for(lam))
+        reports.append(_judged(improved, value, value_log2))
+        sapozhenko = cv.sapozhenko_alpha_bound(n, d, alpha, lam, cfg.c)
+        reports.append(_judged(sapozhenko, value, value_log2))
+        reports += covers[i : i + 1]
     for t, count in enumerate(f.poly.coeffs):
         improved = bd.improved_fixed_size_bound(n, d, t, cfg.c_alpha_for(1))
         reports.append(_judged(improved, count, f.coeffs_log2[t]))
     exact, expansion = bd.kdd_exponent_expansion(d)
-    reports.append(
-        bd.BoundReport(
-            "kdd_exponent_expansion",
-            exact,
-            constants={"d": d, "exact": exact, "expansion": expansion},
-        )
-    )
+    constants = {"d": d, "exact": exact, "expansion": expansion}
+    reports.append(bd.BoundReport("kdd_exponent_expansion", exact, constants=constants))
     return f.stats, reports, []
 
 
