@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,15 +12,16 @@ from indsets.graphs import (
     build_graph,
     gen_cycle,
     gen_petersen,
+    gen_random_regular,
     graph_stats,
     is_independent,
     write_graph6,
 )
 from indsets.harness import (
-    CheckResult,
-    RunConfig,
     CHECKS,
+    CheckResult,
     GraphFacts,
+    RunConfig,
     VerificationRecord,
     bounds_for_graph,
     cover_summary,
@@ -406,3 +408,64 @@ def test_fixed_size_check_is_exact_at_the_threshold():
     res = CHECKS["fixed_size"](GraphFacts("p", g, RunConfig(), stats, above))
     assert res.status == "fail" and res.holds_exact is False
     assert res.witness["t"] == 2 and res.witness["count"] == "292"
+
+
+# ---------------------------------------------------------------------------
+# One path from formula to verdict
+# ---------------------------------------------------------------------------
+
+ROW_CHECKS = (
+    "alekseev_weighted",
+    "conjecture_counts",
+    "conjecture_weighted",
+    "independent_first",
+    "fixed_size",
+    "cover_count",
+)
+
+
+@pytest.mark.parametrize("n,d", [(10, 3), (12, 3), (14, 4), (16, 5), (20, 3), (20, 4)])
+def test_verify_margins_are_the_minimum_bounds_margins(n, d):
+    # verify folds the same rows that bounds lists, so each check's margin is
+    # the smallest margin of the same-named reports, bit for bit.
+    cfg = RunConfig(lambdas=(Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3, 7)), orders=2)
+    for seed in range(3):
+        g = gen_random_regular(n, d, seed)
+        margins = {c.name: c.margin_log2 for c in verify_graph("g", g, cfg).checks}
+        _, reports, _ = bounds_for_graph(g, cfg)
+        for name in ROW_CHECKS:
+            rows = [rep.margin_log2 for rep in reports if rep.name == name]
+            assert rows, name
+            assert repr(margins[name]) == repr(min(rows)), (n, d, seed, name)
+
+
+def test_verify_graph_evaluates_each_activity_once(monkeypatch):
+    calls = []
+    evaluate = IndependencePolynomial.evaluate
+
+    def counting(self, activity):
+        calls.append(activity)
+        return evaluate(self, activity)
+
+    monkeypatch.setattr(IndependencePolynomial, "evaluate", counting)
+    lambdas_sets = [(Fraction(1),), (Fraction(1, 2), Fraction(1), Fraction(2)), (Fraction(2),) * 2]
+    for lambdas in lambdas_sets:
+        cfg = RunConfig(lambdas=lambdas, orders=4)
+        for spec in ("gen:petersen", "gen:kdd:3", "gen:cycle:5", "gen:rr:16:4:3"):
+            calls.clear()
+            verify_graph(spec, graph_from_spec(spec), cfg)
+            assert calls == list(lambdas), spec
+
+
+def test_verify_graph_calls_the_checks_entry(monkeypatch):
+    seen = []
+
+    def stand_in(facts):
+        seen.append(facts.graph_id)
+        return CheckResult("order_bound", "must_hold", "skip", witness={"reason": "stand-in"})
+
+    monkeypatch.setitem(CHECKS, "order_bound", stand_in)
+    rec = verify_graph("gen:petersen", gen_petersen(), RunConfig())
+    assert seen == ["gen:petersen"]
+    assert [c.name for c in rec.checks] == list(CHECKS)
+    assert rec.checks[list(CHECKS).index("order_bound")].witness == {"reason": "stand-in"}

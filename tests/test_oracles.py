@@ -5,6 +5,12 @@ check each have a straightforward rational form: a per-vertex product, a
 Horner loop over Fractions, and a loop over every (order, activity) pair with
 no deduplication. Those forms are kept here, test-only, as oracles; the
 package must agree with them exactly, down to the last bit of every float.
+
+The engine's polynomials are also held to the occupancy-fraction theorem of
+Davies, Jenssen, Perkins and Roberts (2017): on a d-regular graph,
+lam P'(lam) / (n P(lam)) is at most its value on K_{d,d}, with equality
+exactly on unions of K_{d,d}. Nothing in the package computes P', so this
+is an independent check of the coefficients.
 """
 
 import json
@@ -15,7 +21,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indsets import bounds as bd
-from indsets.graphs import GraphError, gen_petersen, gen_random_regular, graph_stats
+from indsets.graphs import (
+    GraphError,
+    component_masks,
+    disjoint_union,
+    gen_complete_bipartite,
+    gen_petersen,
+    gen_random_regular,
+    graph_stats,
+    is_independent,
+    mask_vertices,
+)
 from indsets.harness import CHECKS, CheckResult, GraphFacts, RunConfig
 from indsets.polynomial import IndependencePolynomial, independence_polynomial
 
@@ -166,3 +182,64 @@ def test_check_order_bound_matches_undeduplicated_loop(g, lambdas, orders, seed,
     want = oracle_check_order_bound(g, stats, poly, cfg, "g")
     # Serialised as in the report, so every float must match bit for bit.
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# Occupancy fraction (Davies, Jenssen, Perkins and Roberts 2017)
+# ---------------------------------------------------------------------------
+
+
+def occupancy_fraction(coeffs, n, lam):
+    """lam P'(lam) / (n P(lam)): the expected fraction of vertices occupied."""
+    value = sum(c * lam**t for t, c in enumerate(coeffs))
+    weighted = sum(t * c * lam**t for t, c in enumerate(coeffs))
+    return weighted / (n * value)
+
+
+def kdd_occupancy_fraction(d, lam):
+    """lam (1+lam)^(d-1) / (2(1+lam)^d - 1), the occupancy fraction of K_{d,d}."""
+    return lam * (1 + lam) ** (d - 1) / (2 * (1 + lam) ** d - 1)
+
+
+def is_kdd_union(g, d):
+    # A triangle-free d-regular graph on 2d vertices has d^2 = (2d)^2/4 edges,
+    # Mantel's maximum, so it is K_{d,d}.
+    for comp in component_masks(g.adj, g.full_mask):
+        if comp.bit_count() != 2 * d:
+            return False
+        for v in mask_vertices(comp):
+            if not is_independent(g, g.adj[v]):
+                return False
+    return True
+
+
+@st.composite
+def regular_graphs_to_40(draw):
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 5))
+        copies = draw(st.integers(1, 40 // (2 * d)))
+        g = gen_complete_bipartite(d)
+        for _ in range(copies - 1):
+            g = disjoint_union(g, gen_complete_bipartite(d))
+        return g, d
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d + 1, 40))
+    assume(n * d % 2 == 0)
+    try:
+        return gen_random_regular(n, d, draw(st.integers(0, 10**6))), d
+    except GraphError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_graphs_to_40(), st.lists(positive_activities, min_size=1, max_size=3))
+def test_occupancy_fraction_at_most_kdd(graph, lambdas):
+    # Exact in Fractions from the engine's coefficients, with equality exactly
+    # on unions of K_{d,d}.
+    g, d = graph
+    coeffs = independence_polynomial(g).coeffs
+    kdd = is_kdd_union(g, d)
+    for lam in lambdas:
+        got, bound = occupancy_fraction(coeffs, g.n, lam), kdd_occupancy_fraction(d, lam)
+        assert got <= bound
+        assert (got == bound) == kdd
