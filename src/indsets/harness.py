@@ -364,10 +364,12 @@ def _alekseev_weighted(c: Check, f: GraphFacts) -> CheckResult:
         return c.skip("empty graph")
     reports = alekseev_weighted(f)
     result = c.fold(reports, lambda i, rep: {**_at(f, i), "bound": str(rep.exact_value)})
+    if result.status == "fail":
+        return result
     expect = is_union_of_equal_cliques(f.g)
     for (lam, value, _), rep in zip(f.evaluations, reports):
         equality = value == rep.exact_value
-        if result.status == "pass" and equality != expect:
+        if equality != expect:
             witness = {"activity": str(lam), "equality": equality, "union_of_equal_cliques": expect}
             return c.result(False, witness)
     return result

@@ -469,3 +469,24 @@ def test_verify_graph_calls_the_checks_entry(monkeypatch):
     assert seen == ["gen:petersen"]
     assert [c.name for c in rec.checks] == list(CHECKS)
     assert rec.checks[list(CHECKS).index("order_bound")].witness == {"reason": "stand-in"}
+
+
+def test_row_checks_fail_at_the_first_false_row_with_their_witness():
+    # An inflated top coefficient breaks every bound row at the first activity
+    # (or, for fixed_size, at the top coefficient).
+    g = gen_petersen()
+    poly = IndependencePolynomial(10, (1, 10, 30, 30, 10**6))
+    facts = GraphFacts("p", g, RunConfig(), graph_stats(g), poly)
+    want = {
+        "alekseev_weighted": {"activity": "1/2", "value": "250069/4", "bound": "6561/256"},
+        "conjecture_counts": {"count": "1000071", "n": 10, "d": 3},
+        "conjecture_weighted": {"activity": "1/2", "value": "250069/4"},
+        "independent_first": {"activity": "1/2", "value": "250069/4"},
+        "cover_count": {"activity": "1/2", "value": "250069/4", "phi": 2},
+    }
+    for name, witness in want.items():
+        res = CHECKS[name](facts)
+        assert (res.status, res.holds_exact, res.witness) == ("fail", False, witness), name
+    res = CHECKS["fixed_size"](facts)
+    assert (res.status, res.holds_exact) == ("fail", False)
+    assert (res.witness["t"], res.witness["count"]) == (4, "1000000")
