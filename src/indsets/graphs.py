@@ -163,6 +163,26 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _shuffle(items: list, getrandbits) -> None:
+    """Fisher-Yates shuffle in place, drawing the same bits as `random.shuffle`.
+
+    For i from the last index down to 1, position i is swapped with a j drawn
+    uniformly from [0, i]. Each of the len(items)! sequences of choices is
+    equally likely and gives a different permutation, so the permutation is
+    uniform. j is drawn
+    by rejection: take k = (i+1).bit_length() random bits and redraw until
+    the value is <= i. The k-bit values are equally likely, so the accepted
+    one is uniform on [0, i]. `random.shuffle` makes these same draws, so a
+    seeded generator gives the same permutation either way.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     """Random simple d-regular graph via the pairing model with rejection.
 
@@ -177,7 +197,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(RANDOM_REGULAR_RETRY_CAP):
-        rng.shuffle(stubs)
+        _shuffle(stubs, rng.getrandbits)
         adj = [0] * n
         ok = True
         for i in range(0, len(stubs), 2):

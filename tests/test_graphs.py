@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indsets import graphs
 from indsets.graphs import (
     Graph,
     GraphError,
@@ -178,6 +179,77 @@ def test_random_regular_rejects_bad_params():
         gen_random_regular(5, 3, 0)  # odd n*d
     with pytest.raises(GraphError):
         gen_random_regular(3, 3, 0)  # d >= n
+
+
+def test_shuffle_matches_random_shuffle():
+    # The generator's inline Fisher-Yates loop must draw exactly the indices
+    # random.shuffle draws, so seeded graphs stay what they were.
+    for length in range(2, 121):
+        for seed in range(200):
+            expected = list(range(length))
+            random.Random(seed).shuffle(expected)
+            got = list(range(length))
+            graphs._shuffle(got, random.Random(seed).getrandbits)
+            assert got == expected, (length, seed)
+
+
+def _pairing_model_with_rng_shuffle(n, d, seed, cap=graphs.RANDOM_REGULAR_RETRY_CAP):
+    """Reference copy of the generator built on random.shuffle.
+
+    Returns (graph, attempts), or raises GraphError with the generator's message.
+    """
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(d)]
+    for attempt in range(1, cap + 1):
+        rng.shuffle(stubs)
+        adj = [0] * n
+        ok = True
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v or (adj[u] >> v) & 1:
+                ok = False
+                break
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        if ok:
+            return Graph(n, tuple(adj)), attempt
+    raise GraphError(
+        f"no simple {d}-regular graph on {n} vertices found in {cap} pairing attempts"
+    )
+
+
+def test_random_regular_matches_rng_shuffle_reference():
+    triples = [
+        (n, d, seed)
+        for d, sizes, seeds in (
+            (3, range(4, 31, 2), range(15)),
+            (4, range(5, 25), range(15)),
+            (5, range(6, 15, 2), range(4)),  # d=5 often needs thousands of attempts
+        )
+        for n in sizes
+        for seed in seeds
+    ]
+    assert len(triples) >= 500
+    restarts = []
+    for n, d, seed in triples:
+        expected, attempts = _pairing_model_with_rng_shuffle(n, d, seed)
+        assert gen_random_regular(n, d, seed) == expected, (n, d, seed)
+        restarts.append(attempts - 1)
+    # The comparison covers seeds whose first pairings are rejected, not only
+    # first-attempt successes.
+    assert sum(r >= 10 for r in restarts) >= 50
+
+
+def test_random_regular_retry_cap_message(monkeypatch):
+    monkeypatch.setattr(graphs, "RANDOM_REGULAR_RETRY_CAP", 3)
+    with pytest.raises(GraphError) as err:
+        gen_random_regular(20, 7, 1)
+    assert str(err.value) == (
+        "no simple 7-regular graph on 20 vertices found in 3 pairing attempts"
+    )
+    with pytest.raises(GraphError) as ref:
+        _pairing_model_with_rng_shuffle(20, 7, 1, cap=3)
+    assert str(ref.value) == str(err.value)
 
 
 def test_random_regular_rejects_size_beyond_capacity():
