@@ -146,6 +146,9 @@ def cmd_cover(args) -> int:
         vertices = [int(s) for s in args.set.split(",")] if args.set else []
     except ValueError as exc:
         raise GraphError(f"malformed --set value {args.set!r}") from exc
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphError(f"--set vertex {v} out of range 0..n-1 for n={g.n}")
     summary = harness.cover_summary(g, mask_of(vertices), args.phi, cfg)
     summary["graph_id"] = graph_id
     _emit(json.dumps(summary, indent=2, sort_keys=True), args.out)
@@ -203,9 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. The parser is built on the first call and reused."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, ValueError, OSError) as exc:

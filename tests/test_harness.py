@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from indsets import cli
 from indsets.cli import main
 from indsets.graphs import (
     GraphError,
@@ -327,6 +328,88 @@ def test_cli_cover_and_report(tmp_path, capsys):
     lines = csv_out.read_text().splitlines()
     assert lines[0].startswith("graph_id,n,d,alpha,edge_count")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "spec, vertices, bad, n",
+    [
+        ("gen:cycle:5", "0,7", 7, 5),
+        ("gen:cycle:5", "-1", -1, 5),
+        ("@", "0,1", 1, 1),  # graph6 for the one-vertex graph
+        ("?", "0", 0, 0),  # graph6 for the empty graph
+    ],
+)
+def test_cli_cover_rejects_set_outside_graph(capsys, spec, vertices, bad, n):
+    assert main(["cover", spec, "--set", vertices]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --set vertex {bad} out of range 0..n-1 for n={n}\n"
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Start from an unbuilt parser and count the calls to build_parser."""
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    return builds
+
+
+def test_cli_builds_parser_once(parser_builds, capsys):
+    for _ in range(5):
+        assert main(["poly", "gen:cycle:5"]) == 0
+        assert main(["bounds", "gen:kdd:2", "--format", "csv"]) == 0
+    assert len(parser_builds) == 1
+    capsys.readouterr()
+
+
+def test_cli_reused_parser_keeps_no_state(parser_builds, tmp_path, capsys):
+    assert main(["poly", "gen:cycle:5"]) == 0
+    default = capsys.readouterr().out
+    assert main(["poly", "gen:cycle:5", "--lambda", "1/3"]) == 0
+    assert json.loads(capsys.readouterr().out)["evaluations"] == {"1/3": "29/9"}
+    assert main(["poly", "gen:cycle:5"]) == 0
+    assert capsys.readouterr().out == default
+
+    assert main(["bounds", "gen:cycle:5", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("name,log2_value,")
+    assert main(["bounds", "gen:cycle:5"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["n"] == 5
+
+    cert_path = tmp_path / "cert.json"
+    assert main(["cover", "gen:cycle:5", "--set", "0,2", "--out", str(cert_path)]) == 0
+    cert_path.write_text(json.dumps(json.loads(cert_path.read_text())["certificate"]))
+    assert main(["cover", "gen:cycle:5", "--certificate", str(cert_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"]
+    assert main(["cover", "gen:cycle:5", "--set", "0,2"]) == 0
+    assert "certificate" in json.loads(capsys.readouterr().out)
+    assert len(parser_builds) == 1
+
+
+def test_cli_reused_parser_bad_arguments_exit_2(parser_builds, capsys):
+    help_text = cli.build_parser().format_help()
+    for argv in (
+        ["bounds", "gen:cycle:5", "--format", "xml"],
+        ["nosuch"],
+        [],
+        ["poly", "gen:cycle:5", "--orders", "many"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: indsets")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == help_text
+    assert main(["poly", "gen:cycle:5"]) == 0
+    assert len(parser_builds) == 2  # the help text above plus main's one parser
 
 
 def _cycle_partitions(n, minimum=3):
