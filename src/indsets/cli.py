@@ -13,6 +13,8 @@ from .cover import CoverCertificate, verify_cover
 from .graphs import GraphError, mask_of
 from .harness import RunConfig
 
+_parser: argparse.ArgumentParser | None = None
+
 
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
@@ -204,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     return parser
-
-
-_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:

@@ -164,16 +164,13 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 def _shuffle(items: list, getrandbits) -> None:
-    """Fisher-Yates shuffle in place, drawing the same bits as `random.shuffle`.
+    """Shuffle in place with the draws `random.shuffle` makes (Fisher-Yates).
 
-    For i from the last index down to 1, position i is swapped with a j drawn
-    uniformly from [0, i]. Each of the len(items)! sequences of choices is
-    equally likely and gives a different permutation, so the permutation is
-    uniform. j is drawn
-    by rejection: take k = (i+1).bit_length() random bits and redraw until
-    the value is <= i. The k-bit values are equally likely, so the accepted
-    one is uniform on [0, i]. `random.shuffle` makes these same draws, so a
-    seeded generator gives the same permutation either way.
+    For i from the last index down to 1, swap position i with j, where j takes
+    k = (i+1).bit_length() random bits and is redrawn while it exceeds i: by
+    rejection sampling j is uniform on [0, i]. The len(items)! sequences of
+    choices are then equally likely and give distinct permutations, so the
+    permutation is uniform.
     """
     for i in range(len(items) - 1, 0, -1):
         k = (i + 1).bit_length()
