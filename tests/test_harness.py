@@ -1,7 +1,10 @@
 """Corpus ingestion, named checks, records, reports, and the CLI."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -367,6 +370,12 @@ def test_cli_builds_parser_once(parser_builds, capsys):
         assert main(["bounds", "gen:kdd:2", "--format", "csv"]) == 0
     assert len(parser_builds) == 1
     capsys.readouterr()
+
+
+def test_cli_import_builds_no_parser():
+    code = "import indsets, indsets.cli as cli; raise SystemExit(cli._parser is not None)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_reused_parser_keeps_no_state(parser_builds, tmp_path, capsys):
