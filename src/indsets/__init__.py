@@ -4,22 +4,16 @@ from .bounds import (
     BoundReport,
     alekseev_bound,
     alekseev_weighted_bound,
-    alon_bound,
     binary_entropy,
-    c_lambda_from_c,
     conjecture_bound,
     conjecture_holds_exact,
     fixed_size_bound,
-    improved_count_bound,
-    improved_fixed_size_bound,
-    improved_weighted_bound,
     independent_first_bound,
     independent_first_holds_exact,
     kahn_bound,
     kdd_exponent_expansion,
     kdd_weighted_bound,
     order_bound,
-    sapozhenko_simple_bound,
     weighted_conjecture_holds_exact,
     weighted_kahn_bound,
 )
@@ -27,9 +21,7 @@ from .cover import (
     CoverCertificate,
     build_cover,
     cover_count_bound,
-    cover_count_bound_relaxed,
     phi_default,
-    sapozhenko_alpha_bound,
     verify_cover,
 )
 from .graphs import (

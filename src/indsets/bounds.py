@@ -4,8 +4,6 @@ Every evaluator returns a BoundReport holding a base-2 logarithm of the bound
 ("log" is log2 throughout). Bounds that are rational for rational activity
 also carry the exact value, and the conjectured extremal inequalities are
 checked by comparing integer powers so no irrational root is ever taken.
-Universal constants that the mathematics leaves unspecified (C, c, c_lambda,
-c_alpha) are explicit parameters echoed back in each report.
 """
 
 from __future__ import annotations
@@ -15,9 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Graph
-
-DEFAULT_BIG_C = 2.0
-DEFAULT_SMALL_C = 1.0
 
 
 def log2_fraction(q: Fraction) -> float:
@@ -93,24 +88,12 @@ def alekseev_weighted_bound(n: int, alpha: int, activity) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def alon_bound(n: int, d: int, C: float = DEFAULT_BIG_C) -> BoundReport:
-    """exp2{(n/2)(1 + C/d^(1/10))}; constant-bearing, informational only."""
-    if d < 1 or C <= 0:
-        raise ValueError("need d >= 1 and C > 0")
-    log2 = (n / 2) * (1 + C / d ** 0.1)
-    return BoundReport("alon", log2, constants={"n": n, "d": d, "C": C})
-
-
-def sapozhenko_simple_bound(n: int, d: int, C: float = DEFAULT_BIG_C) -> BoundReport:
-    """exp2{(n/2)(1 + C*sqrt(log2(d)/d))}; constant-bearing, informational only."""
-    if d < 1 or C <= 0:
-        raise ValueError("need d >= 1 and C > 0")
-    log2 = (n / 2) * (1 + C * math.sqrt(math.log2(d) / d))
-    return BoundReport("sapozhenko_simple", log2, constants={"n": n, "d": d, "C": C})
-
-
 def kahn_bound(n: int, d: int) -> BoundReport:
-    """exp2{(n/2)(1 + 2/d)}; exact power of two when the exponent is integral."""
+    """exp2{(n/2)(1 + 2/d)}; exact power of two when the exponent is integral.
+
+    count <= bound iff count^(2d) <= 2^(n(d+2)), which is
+    `independent_first_holds_exact(count, n, d, 0, 1)`.
+    """
     if d < 1:
         raise ValueError("need d >= 1")
     log2 = n * (d + 2) / (2 * d)
@@ -189,46 +172,6 @@ def weighted_kahn_bound(n: int, d: int, activity) -> BoundReport:
         exact_value=exact,
         constants={"n": n, "d": d, "activity": str(lam)},
     )
-
-
-def improved_weighted_bound(n: int, d: int, activity, c_lambda: float) -> BoundReport:
-    """(1+activity)^(n/2) * exp2{(n/2d)(1 + c_lambda*sqrt(log2(d)/d))}.
-
-    The headline refinement of the weighted count bound; requires d >= 2.
-    """
-    if d < 2:
-        raise ValueError("need d >= 2")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
-    log2 = (n / 2) * log2_fraction(1 + lam) + (n / (2 * d)) * (
-        1 + c_lambda * math.sqrt(math.log2(d) / d)
-    )
-    return BoundReport(
-        "improved_weighted",
-        log2,
-        constants={"n": n, "d": d, "activity": str(lam), "c_lambda": c_lambda},
-    )
-
-
-def improved_count_bound(n: int, d: int, C: float = DEFAULT_BIG_C) -> BoundReport:
-    """Unweighted specialization of improved_weighted_bound at activity 1."""
-    report = improved_weighted_bound(n, d, 1, C)
-    return BoundReport(
-        "improved_count", report.log2_value, constants={"n": n, "d": d, "C": C}
-    )
-
-
-def c_lambda_from_c(activity, c: float) -> float:
-    """Constant transfer: c_lambda = 2*c*ln2 / (ln(1+activity) - activity/(1+activity)).
-
-    The denominator is positive for every positive activity, so the result is
-    positive and blows up as the activity tends to zero.
-    """
-    lam = float(Fraction(activity))
-    if lam <= 0 or c <= 0:
-        raise ValueError("need activity > 0 and c > 0")
-    return 2 * c * math.log(2) / (math.log1p(lam) - lam / (1 + lam))
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +291,14 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
-def fixed_size_bound(n: int, d: int, t: int, bipartite: bool = False) -> BoundReport:
-    """exp2{(n/2)(H(2t/n) + 2/d)} in general, 1/d in place of 2/d for bipartite."""
+def fixed_size_bound(n: int, d: int, t: int) -> BoundReport:
+    """exp2{(n/2)(H(2t/n) + 2/d)}."""
     if d < 1 or n < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if not 0 <= 2 * t <= n:
         raise ValueError("need 0 <= t <= n/2 for the entropy argument")
-    slack = (1 if bipartite else 2) / d
-    log2 = (n / 2) * (binary_entropy(2 * t / n) + slack)
-    return BoundReport(
-        "fixed_size_bipartite" if bipartite else "fixed_size",
-        log2,
-        constants={"n": n, "d": d, "t": t},
-    )
+    log2 = (n / 2) * (binary_entropy(2 * t / n) + 2 / d)
+    return BoundReport("fixed_size", log2, constants={"n": n, "d": d, "t": t})
 
 
 def fixed_size_rhs(n: int, d: int) -> int:
@@ -382,22 +320,6 @@ def fixed_size_holds_exact(count: int, n: int, d: int, t: int, rhs: int) -> bool
         raise ValueError("need 0 <= t <= n/2 for the entropy argument")
     rest = n - 2 * t
     return count ** (2 * d) * (2 * t) ** (2 * t * d) * rest ** (rest * d) <= rhs
-
-
-def improved_fixed_size_bound(n: int, d: int, t: int, c_alpha: float) -> BoundReport:
-    """exp2{(n/2)(H(2t/n) + 1/d + (c_alpha/d)*sqrt(log2(d)/d))}; requires d >= 2."""
-    if d < 2 or n < 1:
-        raise ValueError("need n >= 1 and d >= 2")
-    if not 0 <= 2 * t <= n:
-        raise ValueError("need 0 <= t <= n/2 for the entropy argument")
-    log2 = (n / 2) * (
-        binary_entropy(2 * t / n)
-        + 1 / d
-        + (c_alpha / d) * math.sqrt(math.log2(d) / d)
-    )
-    return BoundReport(
-        "improved_fixed_size", log2, constants={"n": n, "d": d, "t": t, "c_alpha": c_alpha}
-    )
 
 
 def kdd_exponent_expansion(d: int) -> tuple[float, float]:

@@ -25,10 +25,6 @@ def _add_config_flags(parser: argparse.ArgumentParser):
         help="activity as an exact rational, repeatable (default: 1/2 1 2)",
     )
     parser.add_argument("--phi", type=int, default=None, help="cover threshold (default: per-graph)")
-    parser.add_argument("--const-C", dest="const_C", type=float, default=2.0)
-    parser.add_argument("--const-c", dest="const_c", type=float, default=1.0)
-    parser.add_argument("--const-Clambda", dest="const_clambda", type=float, default=None)
-    parser.add_argument("--const-calpha", dest="const_calpha", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cap", type=int, default=28, help="vertex cap for exact runs")
     parser.add_argument("--orders", type=int, default=20, help="random orders per graph")
@@ -46,10 +42,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         lambdas=lambdas,
         phi=args.phi,
-        C=args.const_C,
-        c=args.const_c,
-        c_lambda=args.const_clambda,
-        c_alpha=args.const_calpha,
         seed=args.seed,
         cap=args.cap,
         orders=args.orders,

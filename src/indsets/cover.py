@@ -195,8 +195,7 @@ def cover_count_bound(n: int, d: int, alpha: int, activity, phi: int) -> BoundRe
 
     The binomial prefactor counts seed choices, the power term bounds the
     envelope subgraph through its independence number; both are rational for
-    rational activity. constants["relaxed_log2"] carries the naively relaxed
-    form for comparison.
+    rational activity.
     """
     if not 0 < phi < d <= n:
         raise ValueError("need 0 < phi < d <= n")
@@ -208,56 +207,5 @@ def cover_count_bound(n: int, d: int, alpha: int, activity, phi: int) -> BoundRe
     seeds = sum(comb(n, t) for t in range(min(n, n // phi) + 1))
     power = (1 + lam * n * d / ((2 * d - phi) * alpha)) ** alpha
     exact = seeds * power
-    return BoundReport(
-        "cover_count",
-        log2_fraction(exact),
-        exact_value=exact,
-        constants={
-            "n": n,
-            "d": d,
-            "alpha": alpha,
-            "activity": str(lam),
-            "phi": phi,
-            "relaxed_log2": cover_count_bound_relaxed(n, d, alpha, lam, phi).log2_value,
-        },
-    )
-
-
-def cover_count_bound_relaxed(n: int, d: int, alpha: int, activity, phi: int) -> BoundReport:
-    """Relaxed form (1 + activity*n/(2*alpha))^alpha * (2d/(2d-phi))^n * 2^(3n*log2(e*phi)/phi)."""
-    if not 0 < phi < d <= n:
-        raise ValueError("need 0 < phi < d <= n")
-    if alpha < 1:
-        raise ValueError("need alpha >= 1")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
-    log2 = (
-        alpha * log2_fraction(1 + lam * n / (2 * alpha))
-        + n * math.log2(2 * d / (2 * d - phi))
-        + 3 * n * math.log2(math.e * phi) / phi
-    )
-    return BoundReport(
-        "cover_count_relaxed",
-        log2,
-        constants={"n": n, "d": d, "alpha": alpha, "activity": str(lam), "phi": phi},
-    )
-
-
-def sapozhenko_alpha_bound(n: int, d: int, alpha: int, activity, c: float) -> BoundReport:
-    """(1 + activity*n/(2*alpha))^alpha * exp2{c*n*sqrt(log2(d)/d)}; informational."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if alpha < 1 or c <= 0:
-        raise ValueError("need alpha >= 1 and c > 0")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
-    log2 = alpha * log2_fraction(1 + lam * n / (2 * alpha)) + c * n * math.sqrt(
-        math.log2(d) / d
-    )
-    return BoundReport(
-        "sapozhenko_alpha",
-        log2,
-        constants={"n": n, "d": d, "alpha": alpha, "activity": str(lam), "c": c},
-    )
+    constants = {"n": n, "d": d, "alpha": alpha, "activity": str(lam), "phi": phi}
+    return BoundReport("cover_count", log2_fraction(exact), exact_value=exact, constants=constants)

@@ -65,10 +65,6 @@ class RunConfig:
 
     lambdas: tuple[Fraction, ...] = DEFAULT_LAMBDAS
     phi: int | None = None  # None: per-graph default threshold
-    C: float = bd.DEFAULT_BIG_C
-    c: float = bd.DEFAULT_SMALL_C
-    c_lambda: float | None = None  # None: derived from c per activity
-    c_alpha: float | None = None  # None: same as c_lambda
     seed: int = 0
     cap: int = 28
     orders: int = 20
@@ -83,16 +79,6 @@ class RunConfig:
         if self.orders < 0:
             raise ValueError("orders must be nonnegative")
 
-    def c_lambda_for(self, activity) -> float:
-        if self.c_lambda is not None:
-            return self.c_lambda
-        return bd.c_lambda_from_c(activity, self.c)
-
-    def c_alpha_for(self, activity) -> float:
-        if self.c_alpha is not None:
-            return self.c_alpha
-        return self.c_lambda_for(activity)
-
     def enabled_checks(self) -> list[str]:
         if self.checks is None:
             return list(CHECKS)
@@ -106,10 +92,6 @@ class RunConfig:
         return {
             "lambdas": [str(lam) for lam in self.lambdas],
             "phi": self.phi,
-            "C": self.C,
-            "c": self.c,
-            "c_lambda": self.c_lambda,
-            "c_alpha": self.c_alpha,
             "seed": self.seed,
             "cap": self.cap,
             "orders": self.orders,
@@ -707,8 +689,10 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     """Drive every bound evaluator applicable to one graph.
 
     Returns (stats, reports, notices); regular-only bounds are skipped with a
-    notice on irregular input. The bound rows carry their exact verdicts; the
-    other bounds carry one wherever they are rational.
+    notice on irregular input, and the cover rows with a notice when d < 2.
+    Every row carries an exact verdict except `kdd_exponent_expansion`, a
+    constant of d. Kahn's bound and its weighted form are decided as the
+    independent-first bound at alpha = 0.
     """
     f = GraphFacts("", g, cfg, graph_stats(g), independence_polynomial(g))
     n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
@@ -720,34 +704,22 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
         notice = "graph is not d-regular with d >= 1: regular-only bounds skipped"
         return f.stats, reports, [notice]
 
-    reports += [
-        _judged(bd.alon_bound(n, d, cfg.C), f.count, f.count_log2),
-        _judged(bd.sapozhenko_simple_bound(n, d, cfg.C), f.count, f.count_log2),
-        _judged(bd.kahn_bound(n, d), f.count, f.count_log2),
-        *conjecture_counts(f),
-    ]
+    holds = bd.independent_first_holds_exact(f.count, n, d, 0, 1)
+    reports.append(_judged(bd.kahn_bound(n, d), f.count, f.count_log2, holds))
+    reports += conjecture_counts(f)
     weighted, first = conjecture_weighted(f), independent_first(f)
     for i, (lam, value, value_log2) in enumerate(f.evaluations):
         order = bd.order_bound(g, range(n), lam)
         order.holds_exact = value**d <= order.exact_value
         order.margin_log2 = order.constants["bound_log2"] - value_log2
-        kahn = _judged(bd.weighted_kahn_bound(n, d, lam), value, value_log2)
+        holds = bd.independent_first_holds_exact(value, n, d, 0, lam)
+        kahn = _judged(bd.weighted_kahn_bound(n, d, lam), value, value_log2, holds)
         reports += [weighted[i], kahn, first[i], order]
     reports += fixed_size(f)
 
     if d < 2:
-        return f.stats, reports, ["d < 2: refined bounds and cover bounds skipped"]
-    reports.append(_judged(bd.improved_count_bound(n, d, cfg.C), f.count, f.count_log2))
-    covers = cover_count(f)
-    for i, (lam, value, value_log2) in enumerate(f.evaluations):
-        improved = bd.improved_weighted_bound(n, d, lam, cfg.c_lambda_for(lam))
-        reports.append(_judged(improved, value, value_log2))
-        sapozhenko = cv.sapozhenko_alpha_bound(n, d, alpha, lam, cfg.c)
-        reports.append(_judged(sapozhenko, value, value_log2))
-        reports += covers[i : i + 1]
-    for t, count in enumerate(f.poly.coeffs):
-        improved = bd.improved_fixed_size_bound(n, d, t, cfg.c_alpha_for(1))
-        reports.append(_judged(improved, count, f.coeffs_log2[t]))
+        return f.stats, reports, ["d < 2: cover bounds skipped"]
+    reports += cover_count(f)
     exact, expansion = bd.kdd_exponent_expansion(d)
     constants = {"d": d, "exact": exact, "expansion": expansion}
     reports.append(bd.BoundReport("kdd_exponent_expansion", exact, constants=constants))

@@ -10,17 +10,12 @@ from hypothesis import strategies as st
 from indsets.bounds import (
     alekseev_bound,
     alekseev_weighted_bound,
-    alon_bound,
     binary_entropy,
-    c_lambda_from_c,
     conjecture_bound,
     conjecture_holds_exact,
     fixed_size_bound,
     fixed_size_holds_exact,
     fixed_size_rhs,
-    improved_count_bound,
-    improved_fixed_size_bound,
-    improved_weighted_bound,
     independent_first_bound,
     independent_first_holds_exact,
     kahn_bound,
@@ -28,7 +23,6 @@ from indsets.bounds import (
     kdd_weighted_bound,
     log2_fraction,
     order_bound,
-    sapozhenko_simple_bound,
     weighted_conjecture_holds_exact,
     weighted_kahn_bound,
 )
@@ -60,16 +54,6 @@ def test_alekseev_weighted_examples():
     rep = alekseev_weighted_bound(5, 2, HALF)
     assert rep.exact_value == Fraction(81, 16)
     assert rep.exact_value >= independence_polynomial(gen_cycle(5)).evaluate(HALF)
-
-
-def test_alon_and_sapozhenko_simple_formulas():
-    rep = alon_bound(20, 2, C=1.0)
-    assert rep.log2_value == pytest.approx(10 * (1 + 2 ** -0.1), rel=1e-12)
-    rep = sapozhenko_simple_bound(20, 2, C=1.0)
-    assert rep.log2_value == pytest.approx(10 * (1 + 1 / math.sqrt(2)), rel=1e-12)
-    for d in range(2, 9):
-        assert alon_bound(10, d, C=2.0).log2_value > kahn_bound(10, d).log2_value
-        assert sapozhenko_simple_bound(10, d, C=2.0).log2_value > kahn_bound(10, d).log2_value
 
 
 def test_kahn_examples():
@@ -117,54 +101,6 @@ def test_weighted_kahn_examples():
     assert rep.exact_value >= count_independent_sets(gen_cycle(4)) == 7
     rep = weighted_kahn_bound(10, 5, 2)
     assert rep.exact_value == 972 == 3 ** 5 * 4
-
-
-def test_improved_bounds_agree_at_activity_one():
-    a = improved_count_bound(12, 3, C=2.0)
-    b = improved_weighted_bound(12, 3, 1, c_lambda=2.0)
-    assert a.log2_value == b.log2_value  # identical bit for bit
-    with pytest.raises(ValueError):
-        improved_count_bound(10, 1)
-    with pytest.raises(ValueError):
-        improved_weighted_bound(10, 1, 1, 2.0)
-
-
-def test_improved_weighted_crosses_weighted_kahn_at_d17():
-    # Gap (per vertex pair) is 1 - c_lambda*sqrt(log2(d)/d): positive iff 4 log2 d < d.
-    for d in range(2, 16):
-        gap = weighted_kahn_bound(2 * d, d, 1).log2_value - improved_weighted_bound(
-            2 * d, d, 1, 2.0
-        ).log2_value
-        assert gap < 1e-12
-    assert abs(
-        weighted_kahn_bound(32, 16, 1).log2_value
-        - improved_weighted_bound(32, 16, 1, 2.0).log2_value
-    ) < 1e-9
-    for d in range(17, 80):
-        gap = weighted_kahn_bound(2 * d, d, 1).log2_value - improved_weighted_bound(
-            2 * d, d, 1, 2.0
-        ).log2_value
-        assert gap > 0
-
-
-def test_improved_weighted_large_d_limit():
-    d = 10 ** 6
-    per_pair = improved_weighted_bound(2 * d, d, 1, 2.0).log2_value / d
-    assert abs(per_pair - (1 + 1 / d)) < 1e-8
-
-
-def test_c_lambda_from_c():
-    value = c_lambda_from_c(1, 1.0)
-    assert value == pytest.approx(2 * math.log(2) / (math.log(2) - 0.5), rel=1e-12)
-    assert value == pytest.approx(7.177, abs=2e-3)
-    # Blows up towards activity 0 and decreases in the activity.
-    assert c_lambda_from_c(Fraction(1, 1000), 1.0) > 10 ** 5
-    sweep = [c_lambda_from_c(Fraction(k, 10), 1.0) for k in range(1, 101)]
-    assert all(a > b for a, b in zip(sweep, sweep[1:]))
-    with pytest.raises(ValueError):
-        c_lambda_from_c(0, 1.0)
-    with pytest.raises(ValueError):
-        c_lambda_from_c(1, 0.0)
 
 
 def test_order_bound_c4_equality():
@@ -237,8 +173,6 @@ def test_fixed_size_bound_examples():
     rep = fixed_size_bound(10, 3, 2)
     expected = 5 * ((-0.4 * math.log2(0.4) - 0.6 * math.log2(0.6)) + 2 / 3)
     assert rep.log2_value == pytest.approx(expected, rel=1e-12)
-    bip = fixed_size_bound(10, 3, 2, bipartite=True)
-    assert bip.log2_value == pytest.approx(expected - 5 / 3, rel=1e-10)
     with pytest.raises(ValueError):
         fixed_size_bound(10, 3, 6)
 
@@ -250,8 +184,6 @@ def test_fixed_size_dominates_petersen_coefficients():
     for t in range(poly.degree + 1):
         bound = fixed_size_bound(10, 3, t).log2_value
         assert math.log2(poly.coefficient(t)) <= bound
-        improved = improved_fixed_size_bound(10, 3, t, c_alpha=7.18).log2_value
-        assert math.log2(poly.coefficient(t)) <= improved
 
 
 @pytest.mark.parametrize(
@@ -286,14 +218,6 @@ def test_fixed_size_exact_rejects_bad_input():
         fixed_size_holds_exact(1, 10, 0, 2, 1)
 
 
-def test_improved_fixed_size_formula():
-    rep = improved_fixed_size_bound(12, 4, 3, c_alpha=1.5)
-    expected = 6 * (1.0 + 1 / 4 + (1.5 / 4) * math.sqrt(0.5))
-    assert rep.log2_value == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        improved_fixed_size_bound(12, 1, 3, c_alpha=1.0)
-
-
 def test_kdd_exponent_expansion():
     exact, _ = kdd_exponent_expansion(1)
     assert exact == pytest.approx(math.log2(3), rel=1e-12)
@@ -304,21 +228,6 @@ def test_kdd_exponent_expansion():
     for d in range(1, 41):
         exact, _ = kdd_exponent_expansion(d)
         assert exact < 1 + 1 / d
-
-
-def test_log2_chain_orderings():
-    # The conjectured extremal value never exceeds the refined bound.
-    for d in range(2, 13):
-        n = 2 * d
-        assert conjecture_bound(n, d).log2_value <= improved_count_bound(n, d, C=7.18).log2_value
-    # With a unit constant the refined bound sits below the 2/d bound for
-    # every d; with the constant derived from c=1 (about 7.18) that ordering
-    # only starts around d = 456, so it is checked there and at d = 512.
-    for d in range(2, 65):
-        assert improved_count_bound(2 * d, d, C=1.0).log2_value <= kahn_bound(2 * d, d).log2_value
-    big_c = c_lambda_from_c(1, 1.0)
-    assert improved_count_bound(1024, 512, C=big_c).log2_value <= kahn_bound(1024, 512).log2_value
-    assert improved_count_bound(24, 12, C=big_c).log2_value > kahn_bound(24, 12).log2_value
 
 
 def test_reports_log2_matches_exact_value():
@@ -343,9 +252,9 @@ def test_report_serialization_shape():
     doc = rep.to_dict()
     assert set(doc) == {"name", "log2_value", "exact_value", "holds_exact", "constants"}
     assert doc["exact_value"] == "32"
-    doc = alon_bound(10, 3, 2.0).to_dict()
+    doc = fixed_size_bound(10, 3, 2).to_dict()
     assert set(doc) == {"name", "log2_value", "constants"}
-    assert doc["constants"]["C"] == 2.0
+    assert doc["constants"] == {"n": 10, "d": 3, "t": 2}
 
 
 def test_log2_fraction_huge_values():

@@ -1,6 +1,5 @@
 """Seed/envelope cover construction, verification, and counting bounds."""
 
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,9 +10,7 @@ from indsets.cover import (
     CoverCertificate,
     build_cover,
     cover_count_bound,
-    cover_count_bound_relaxed,
     phi_default,
-    sapozhenko_alpha_bound,
     verify_cover,
 )
 from indsets.graphs import (
@@ -188,15 +185,6 @@ def test_cover_count_bound_dominates_samples():
                 assert poly.evaluate(lam) <= rep.exact_value
 
 
-def test_relaxed_form_dominates_exact():
-    for (n, d, alpha, phi) in [(5, 2, 2, 1), (10, 3, 4, 1), (10, 3, 4, 2), (16, 4, 6, 2)]:
-        for lam in LAMBDAS:
-            exact = cover_count_bound(n, d, alpha, lam, phi)
-            relaxed = cover_count_bound_relaxed(n, d, alpha, lam, phi)
-            assert relaxed.log2_value >= exact.log2_value
-            assert exact.constants["relaxed_log2"] == relaxed.log2_value
-
-
 def test_power_term_nondecreasing_in_alpha():
     # (1 + a/x)^x grows with x, so the envelope power term grows with alpha.
     n, d, phi = 12, 3, 1
@@ -222,19 +210,3 @@ def test_cover_count_bound_rejects_bad_params():
         cover_count_bound(5, 2, 2, 1, 2)
     with pytest.raises(ValueError):
         cover_count_bound(5, 2, 2, 0, 1)
-
-
-def test_alpha_bound_petersen():
-    rep = sapozhenko_alpha_bound(10, 3, 4, 1, c=1.0)
-    expected = math.log2(6561 / 256) + 10 * math.sqrt(math.log2(3) / 3)
-    assert rep.log2_value == pytest.approx(expected, rel=1e-12)
-    assert rep.log2_value >= math.log2(76)
-
-
-def test_alpha_bound_half_density_form():
-    # At alpha = n/2 the power term is (1 + activity)^(n/2).
-    n, d = 12, 4
-    for lam in LAMBDAS:
-        rep = sapozhenko_alpha_bound(n, d, n // 2, lam, c=1.0)
-        expected = (n / 2) * math.log2(1 + float(lam)) + n * math.sqrt(math.log2(d) / d)
-        assert rep.log2_value == pytest.approx(expected, rel=1e-12)

@@ -18,9 +18,14 @@ Regenerate every file, from any directory, with
 and only for an intended change to an output's content; say so in the change
 description. The files were first written before the bound rows replaced the
 hand-written checks, and that refactor left every byte as it was. They were
-regenerated once since, when `fixed_size` started to report its exact verdict:
-`golden_report.json` gained 16 `"holds_exact": true,` lines and the `bounds`
-files a `holds_exact` for each `fixed_size` row, with nothing else changed.
+regenerated twice since. When `fixed_size` started to report its exact
+verdict, `golden_report.json` gained 16 `"holds_exact": true,` lines and the
+`bounds` files a `holds_exact` for each `fixed_size` row, with nothing else
+changed. When the rows with guessed constants were deleted, the `bounds` files
+lost the `alon`, `sapozhenko_simple`, `improved_*` and `sapozhenko_alpha`
+rows, `cover_count` rows lost `relaxed_log2`, `kahn` and `weighted_kahn` rows
+gained `holds_exact`, and the `verify` config lost `C`, `c`, `c_lambda` and
+`c_alpha`, with nothing else changed.
 """
 
 import contextlib
