@@ -689,7 +689,8 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     """Drive every bound evaluator applicable to one graph.
 
     Returns (stats, reports, notices); regular-only bounds are skipped with a
-    notice on irregular input, and the cover rows with a notice when d < 2.
+    notice on irregular input, and the cover rows with a notice when d < 2
+    or cfg.phi lies outside (0, d).
     Every row carries an exact verdict except `kdd_exponent_expansion`, a
     constant of d. Kahn's bound and its weighted form are decided as the
     independent-first bound at alpha = 0.
@@ -719,11 +720,14 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
 
     if d < 2:
         return f.stats, reports, ["d < 2: cover bounds skipped"]
+    notices = []
+    if f.phi is None:
+        notices.append(f"phi {cfg.phi} outside (0, d): cover_count rows skipped")
     reports += cover_count(f)
     exact, expansion = bd.kdd_exponent_expansion(d)
     constants = {"d": d, "exact": exact, "expansion": expansion}
     reports.append(bd.BoundReport("kdd_exponent_expansion", exact, constants=constants))
-    return f.stats, reports, []
+    return f.stats, reports, notices
 
 
 def cover_summary(g: Graph, independent_set: int, phi: int | None, cfg: RunConfig) -> dict:

@@ -297,6 +297,24 @@ def test_cli_bounds_irregular_notice(capsys):
     assert "regular-only bounds skipped" in captured.err
 
 
+@pytest.mark.parametrize("phi", ["0", "9"])
+def test_cli_bounds_phi_out_of_range_notice(phi, tmp_path, capsys):
+    argv = ["bounds", "gen:petersen", "--lambda", "1"]
+    assert main(argv) == 0
+    full = json.loads(capsys.readouterr().out)["reports"]
+    assert main([*argv, "--phi", phi]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"note: phi {phi} outside (0, d): cover_count rows skipped\n"
+    assert json.loads(captured.out)["reports"] == [r for r in full if r["name"] != "cover_count"]
+    # verify keeps its skip records for the same value.
+    out = tmp_path / "report.json"
+    assert main(["verify", "gen:petersen", "--phi", phi, "--orders", "1", "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["records"][0]["checks"]}
+    for name in ("cover_certificate", "cover_count"):
+        assert checks[name]["status"] == "skip"
+        assert checks[name]["witness"] == {"reason": "phi outside (0, d)"}
+
+
 def test_cli_verify_exit_zero(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
