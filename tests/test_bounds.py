@@ -1,5 +1,6 @@
 """Closed-form bound evaluators and exact dominance checks."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -209,6 +210,35 @@ def test_fixed_size_exact_threshold(n, d, t):
     bound_log2 = fixed_size_bound(n, d, t).log2_value
     tol = 1e-12 * max(1.0, bound_log2)
     assert math.log2(c) <= bound_log2 + tol and bound_log2 - tol < math.log2(c + 1)
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(6, 1), (5, 2), (10, 3), (12, 3), (14, 4), (20, 4), (28, 5), (64, 3), (64, 7)],
+)
+def test_kahn_exact_threshold(n, d):
+    # Kahn's count bound is the independent-first predicate at alpha = 0 and
+    # activity 1: count^(2d) <= 2^(n(d+2)). Bisection finds the largest
+    # count c it accepts, which must be floor(2^(n(d+2)/(2d))); 2d divides
+    # n(d+2) only for (6, 1), (5, 2), (12, 3) and (20, 4).
+    def holds(count):
+        return independent_first_holds_exact(count, n, d, 0, 1)
+
+    lo, hi = 0, 1
+    while holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    c = lo
+    assert holds(c) and not holds(c + 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        root = decimal.Decimal(2) ** (decimal.Decimal(n * (d + 2)) / (2 * d))
+    assert c == int(root)
+    exponent, rest = divmod(n * (d + 2), 2 * d)
+    if rest == 0:
+        assert c == 2**exponent == kahn_bound(n, d).exact_value
 
 
 def test_fixed_size_exact_rejects_bad_input():

@@ -297,6 +297,45 @@ def test_cli_bounds_irregular_notice(capsys):
     assert "regular-only bounds skipped" in captured.err
 
 
+ROW_VERDICT_SPECS = [
+    "gen:petersen",
+    "gen:kdd:3",
+    "gen:union:kdd:3+kdd:3",
+    "gen:cycle:5",
+    "DhC",
+    "gen:rr:20:3:7",
+    "gen:rr:20:4:8",
+] + [f"gen:rr:20:{d}:{seed}" for d in (3, 4, 5) for seed in range(5)]
+
+
+@pytest.mark.parametrize("spec", ROW_VERDICT_SPECS)
+def test_every_bounds_row_has_a_true_verdict(spec, capsys):
+    # The golden graphs plus five seeded random graphs per degree 3, 4, 5.
+    lambdas = ["--lambda", "1/2", "--lambda", "1", "--lambda", "2", "--lambda", "3/7"]
+    assert main(["bounds", spec, *lambdas]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert main(["bounds", spec, "--format", "csv", *lambdas]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [rep["name"] for rep in reports]
+    assert reports
+    for rep, row in zip(reports, rows):
+        if rep["name"] == "kdd_exponent_expansion":
+            assert "holds_exact" not in rep and row[3] == ""
+        else:
+            assert rep["holds_exact"] is True and row[3] == "true", rep["name"]
+
+
+@pytest.mark.parametrize("flag", ["--const-C", "--const-c", "--const-Clambda", "--const-calpha"])
+def test_const_flags_are_gone(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "gen:cycle:5", flag, "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["bounds", "--help"])
+    assert "--const" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("phi", ["0", "9"])
 def test_cli_bounds_phi_out_of_range_notice(phi, tmp_path, capsys):
     argv = ["bounds", "gen:petersen", "--lambda", "1"]
