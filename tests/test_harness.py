@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from indsets import cli
+from indsets import cli, harness
 from indsets.cli import main
 from indsets.graphs import (
     GraphError,
@@ -557,6 +557,19 @@ def test_fixed_size_check_is_exact_at_the_threshold():
     res = CHECKS["fixed_size"](GraphFacts("p", g, RunConfig(), stats, above))
     assert res.status == "fail" and res.holds_exact is False
     assert res.witness["t"] == 2 and res.witness["count"] == "292"
+
+
+def test_kahn_rows_are_decided_at_the_threshold(monkeypatch):
+    # n=10, d=3: Kahn's bound is 2^(50/6) = 322.54..., so a Petersen-shaped
+    # polynomial with count 322 meets both Kahn rows at activity 1 and 323
+    # fails them (322^6 <= 2^50 < 323^6).
+    g = gen_petersen()
+    for count, holds in ((322, True), (323, False)):
+        poly = IndependencePolynomial(10, (1, 10, 30, 30, count - 71))
+        monkeypatch.setattr(harness, "independence_polynomial", lambda _: poly)
+        _, reports, _ = bounds_for_graph(g, RunConfig(lambdas=(Fraction(1),)))
+        verdicts = {rep.name: rep.holds_exact for rep in reports if "kahn" in rep.name}
+        assert verdicts == {"kahn": holds, "weighted_kahn": holds}
 
 
 # ---------------------------------------------------------------------------
