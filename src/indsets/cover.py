@@ -207,5 +207,15 @@ def cover_count_bound(n: int, d: int, alpha: int, activity, phi: int) -> BoundRe
     seeds = sum(comb(n, t) for t in range(min(n, n // phi) + 1))
     power = (1 + lam * n * d / ((2 * d - phi) * alpha)) ** alpha
     exact = seeds * power
-    constants = {"n": n, "d": d, "alpha": alpha, "activity": str(lam), "phi": phi}
-    return BoundReport("cover_count", log2_fraction(exact), exact_value=exact, constants=constants)
+    return BoundReport(
+        "cover_count",
+        log2_fraction(exact),
+        exact_value=exact,
+        constants={
+            "n": n,
+            "d": d,
+            "alpha": alpha,
+            "activity": str(lam),
+            "phi": phi,
+        },
+    )

@@ -690,10 +690,9 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
 
     Returns (stats, reports, notices); regular-only bounds are skipped with a
     notice on irregular input, and the cover rows with a notice when d < 2
-    or cfg.phi lies outside (0, d).
-    Every row carries an exact verdict except `kdd_exponent_expansion`, a
-    constant of d. Kahn's bound and its weighted form are decided as the
-    independent-first bound at alpha = 0.
+    or cfg.phi lies outside (0, d). Every row carries an exact verdict except
+    `kdd_exponent_expansion`, a constant of d. Kahn's bound and its weighted
+    form are decided as the independent-first bound at alpha = 0.
     """
     f = GraphFacts("", g, cfg, graph_stats(g), independence_polynomial(g))
     n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
