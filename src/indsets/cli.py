@@ -16,38 +16,39 @@ from .harness import RunConfig
 _parser: argparse.ArgumentParser | None = None
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--lambda",
+_FLAGS = {
+    "--lambda": dict(
         dest="lambdas",
         action="append",
         metavar="P/Q",
         help="activity as an exact rational, repeatable (default: 1/2 1 2)",
-    )
-    parser.add_argument("--phi", type=int, default=None, help="cover threshold (default: per-graph)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cap", type=int, default=28, help="vertex cap for exact runs")
-    parser.add_argument("--orders", type=int, default=20, help="random orders per graph")
-    parser.add_argument(
-        "--checks", default=None, help="comma-separated check names (default: all)"
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, metavar="PATH")
+    ),
+    "--phi": dict(type=int, default=None, help="cover threshold (default: per-graph)"),
+    "--seed": dict(type=int, default=0),
+    "--cap": dict(type=int, default=28, help="vertex cap for exact runs"),
+    "--orders": dict(type=int, default=20, help="random orders per graph"),
+    "--checks": dict(default=None, help="comma-separated check names (default: all)"),
+    "--jobs": dict(type=int, default=1, help="worker processes"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(default=None, metavar="PATH"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str):
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _config_from_args(args) -> RunConfig:
-    lambdas = tuple(Fraction(s) for s in args.lambdas) if args.lambdas else harness.DEFAULT_LAMBDAS
-    checks = tuple(s for s in args.checks.split(",") if s) if args.checks else None
-    return RunConfig(
-        lambdas=lambdas,
-        phi=args.phi,
-        seed=args.seed,
-        cap=args.cap,
-        orders=args.orders,
-        checks=checks,
-        jobs=args.jobs,
-    )
+    """RunConfig from the flags this subcommand has; the rest keep their defaults."""
+    given = vars(args)
+    names = ("phi", "seed", "cap", "orders", "jobs")
+    kwargs = {name: given[name] for name in names if name in given}
+    if given.get("lambdas"):
+        kwargs["lambdas"] = tuple(Fraction(s) for s in given["lambdas"])
+    if given.get("checks"):
+        kwargs["checks"] = tuple(s for s in given["checks"].split(",") if s)
+    return RunConfig(**kwargs)
 
 
 def _single_graph(spec: str):
@@ -150,9 +151,16 @@ def cmd_cover(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.records, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.records, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{args.records}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{args.records}: top level is not a JSON object")
     records = doc.get("records", [])
+    if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+        raise ValueError(f"{args.records}: records is not a list of objects")
     if args.format == "csv":
         _emit(harness.records_to_csv(records), args.out)
     else:
@@ -170,17 +178,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="independence polynomial of one graph")
     p_poly.add_argument("input", help="graph6 line, gen: descriptor, or file with one graph")
-    _add_config_flags(p_poly)
+    _add_flags(p_poly, "--lambda", "--out")
     p_poly.set_defaults(func=cmd_poly)
 
     p_bounds = sub.add_parser("bounds", help="every applicable bound for one graph")
     p_bounds.add_argument("input")
-    _add_config_flags(p_bounds)
+    _add_flags(p_bounds, "--lambda", "--phi", "--format", "--out")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="batch verification over a corpus")
     p_verify.add_argument("inputs", nargs="+", help="corpus files and/or gen: descriptors")
-    _add_config_flags(p_verify)
+    _add_flags(
+        p_verify, "--lambda", "--phi", "--seed", "--cap", "--orders", "--checks", "--jobs", "--out"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_cover = sub.add_parser("cover", help="build and verify a cover certificate")
@@ -189,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cover.add_argument(
         "--certificate", default=None, help="verify an existing certificate JSON instead"
     )
-    _add_config_flags(p_cover)
+    _add_flags(p_cover, "--lambda", "--phi", "--out")
     p_cover.set_defaults(func=cmd_cover)
 
     p_report = sub.add_parser("report", help="render a verify report as CSV or sorted JSON")
     p_report.add_argument("records", help="JSON report written by verify --out")
-    _add_config_flags(p_report)
+    _add_flags(p_report, "--format", "--out")
     p_report.set_defaults(func=cmd_report)
 
     return parser

@@ -352,18 +352,42 @@ def _clique_cover_bound(adj: Sequence[int], cand: int) -> int:
     return count
 
 
+def max_degree_vertex(adj: Sequence[int], verts: int, cap: int) -> tuple[int, int]:
+    """Lowest-index maximum-degree vertex of the induced subgraph, and its degree.
+
+    No degree in the subgraph may exceed `cap`: the scan stops at the first
+    vertex that reaches it, which is the one a full scan would pick.
+    """
+    best = -1
+    best_deg = -1
+    rest = verts
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        deg = (adj[v] & verts).bit_count()
+        if deg > best_deg:
+            best_deg = deg
+            best = v
+            if deg == cap:
+                break
+    return best, best_deg
+
+
 def max_independent_set(g: Graph) -> int:
     """Exact maximum independent set as a bit mask.
 
     Branch and bound: branch on a maximum-degree vertex of the candidate
     subgraph (lowest index on ties, include-branch first) and prune with a
     greedy clique-cover bound, so the returned witness is deterministic.
+    Degrees cannot grow as the candidate set shrinks, so each branch vertex's
+    degree caps its children's scans.
     """
     adj = g.adj
     best_mask = 0
     best_size = 0
 
-    def expand(chosen: int, size: int, cand: int):
+    def expand(chosen: int, size: int, cand: int, cap: int):
         nonlocal best_mask, best_size
         if cand == 0:
             if size > best_size:
@@ -374,22 +398,12 @@ def max_independent_set(g: Graph) -> int:
             return
         if size + _clique_cover_bound(adj, cand) <= best_size:
             return
-        v = -1
-        vdeg = -1
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            deg = (adj[u] & cand).bit_count()
-            if deg > vdeg:
-                vdeg = deg
-                v = u
+        v, vdeg = max_degree_vertex(adj, cand, cap)
         vbit = 1 << v
-        expand(chosen | vbit, size + 1, cand & ~vbit & ~adj[v])
-        expand(chosen, size, cand & ~vbit)
+        expand(chosen | vbit, size + 1, cand & ~vbit & ~adj[v], vdeg)
+        expand(chosen, size, cand & ~vbit, vdeg)
 
-    expand(0, 0, g.full_mask)
+    expand(0, 0, g.full_mask, g.n)
     return best_mask
 
 

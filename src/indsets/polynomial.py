@@ -2,15 +2,23 @@
 
 Coefficient t of the polynomial counts the independent sets of size t, so the
 degree is the independence number and the coefficient sum is the total count.
-The main algorithm applies the vertex recurrence
+Two exact engines compute it, and `independence_polynomial` picks one per
+graph from the width of a greedy vertex order:
 
-    P(G) = P(G - v) + activity * P(G - v - N(v))
+- `_frontier_dp` places the vertices in that order and keeps one packed
+  polynomial per independent subset of the frontier (the placed vertices
+  that still have an unplaced neighbour), so its cost grows as 2^width.
+- `_recurrence` applies the vertex recurrence
 
-at a maximum-degree vertex, splits residual subgraphs into connected
-components (their polynomials multiply), and memoizes connected residuals by
-vertex mask, with each polynomial packed into one integer. A 2^n enumeration
-oracle is kept alongside as an independent cross-check and is never routed
-through the recurrence.
+      P(G) = P(G - v) + activity * P(G - v - N(v))
+
+  at a maximum-degree vertex, splits residual subgraphs into connected
+  components (their polynomials multiply), and memoizes connected residuals
+  by vertex mask.
+
+Both pack each polynomial into one integer. A 2^n enumeration oracle is kept
+alongside as an independent cross-check and is never routed through either
+engine.
 """
 
 from __future__ import annotations
@@ -20,10 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .graphs import Graph, component_masks
+from .graphs import Graph, component_masks, mask_vertices, max_degree_vertex
 
 BRUTE_FORCE_LIMIT = 24
 DEFAULT_MEMO_LIMIT = 1 << 22
+# Widest greedy frontier routed to the frontier DP; wider graphs use the recurrence.
+DP_MAX_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -82,31 +92,103 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _max_degree_vertex(adj, verts: int) -> int:
-    best = -1
-    best_deg = -1
-    rest = verts
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        deg = (adj[v] & verts).bit_count()
-        if deg > best_deg:
-            best_deg = deg
-            best = v
-    return best
+def _unpack(n: int, packed: int) -> IndependencePolynomial:
+    shift = n + 1
+    digit = (1 << shift) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & digit)
+        packed >>= shift
+    return IndependencePolynomial(n, tuple(coeffs))
 
 
-def independence_polynomial(
-    g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT
-) -> IndependencePolynomial:
-    """Exact independence polynomial via the vertex recurrence.
+def frontier_order(adj, n: int) -> tuple[list[int], int]:
+    """Greedy min-frontier vertex order and its width.
+
+    The frontier is the set of placed vertices that still have an unplaced
+    neighbour; the width is its largest size after any placement. Each step
+    places the vertex with the smallest key (frontier size after placing it,
+    -(number of its placed neighbours), index). The middle term matters: on
+    eight random cubic graphs with 64 vertices it cuts the width from 15-20
+    to 11-13. `left[v]` counts v's unplaced neighbours, so each candidate
+    costs O(degree).
+    """
+    nbrs = [mask_vertices(a) for a in adj]
+    left = [len(nb) for nb in nbrs]
+    placed = [False] * n
+    unplaced = list(range(n))
+    order = []
+    size = width = 0
+    while unplaced:
+        best_key = None
+        for v in unplaced:
+            lv = left[v]
+            after = size + (lv > 0)
+            if lv < len(nbrs[v]):
+                for u in nbrs[v]:
+                    if placed[u] and left[u] == 1:
+                        after -= 1
+            key = (after, lv - len(nbrs[v]), v)
+            if best_key is None or key < best_key:
+                best_key = key
+        size, _, best = best_key
+        width = max(width, size)
+        placed[best] = True
+        unplaced.remove(best)
+        for u in nbrs[best]:
+            left[u] -= 1
+        order.append(best)
+    return order, width
+
+
+def _frontier_dp(g: Graph, order: list[int]) -> IndependencePolynomial:
+    """Independence polynomial by dynamic programming along a vertex order.
+
+    After each placement, `states` maps every independent subset of the
+    frontier (placed vertices with an unplaced neighbour) to the packed
+    polynomial of the independent sets of the placed vertices that meet the
+    frontier in exactly that subset. A vertex that leaves the frontier has
+    no unplaced neighbour left, so no later choice depends on it and its
+    states merge. Packing is as in `_recurrence`: each digit counts some of
+    the independent sets of the subgraph induced by the placed vertices, so
+    it stays below 2^(n+1) and no digit carries into the next.
+    """
+    adj = g.adj
+    shift = g.n + 1
+    left = [adj[v].bit_count() for v in range(g.n)]
+    frontier = 0
+    states = {0: 1}
+    for v in order:
+        bit = 1 << v
+        nb = adj[v]
+        if left[v]:
+            frontier |= bit
+        for u in mask_vertices(nb):
+            left[u] -= 1
+            if not left[u]:
+                frontier &= ~(1 << u)
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for s, p in states.items():
+            t = s & frontier
+            nxt[t] = get(t, 0) + p
+            if not s & nb:
+                t = (s | bit) & frontier
+                nxt[t] = get(t, 0) + (p << shift)
+        states = nxt
+    return _unpack(g.n, states[0])
+
+
+def _recurrence(g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT) -> IndependencePolynomial:
+    """Independence polynomial by the vertex recurrence.
 
     Branches at a maximum-degree vertex of the current induced subgraph
     (lowest index on ties) and factors over connected components at every
     node. The memo is keyed by connected vertex mask only; single-vertex
     components multiply by (1 + x) inline. The memo table is private to this
-    call and stops growing once `memo_limit` entries are stored.
+    call and stops growing once `memo_limit` entries are stored. Degrees
+    cannot grow in an induced subgraph, so each branch vertex's degree caps
+    the scans of its children.
 
     Each polynomial is packed into one int, coefficient t at bit offset
     t * (n + 1) for n = g.n (Kronecker substitution x = 2^(n+1)). This is
@@ -122,36 +204,46 @@ def independence_polynomial(
     one_plus_x = 1 | (1 << shift)
     memo: dict[int, int] = {}
 
-    def solve(verts: int) -> int:
+    def solve(verts: int, cap: int) -> int:
         packed = 1
         for comp in component_masks(adj, verts):
             if comp & (comp - 1) == 0:
                 packed *= one_plus_x
             else:
-                packed *= solve_connected(comp)
+                packed *= solve_connected(comp, cap)
         return packed
 
-    def solve_connected(verts: int) -> int:
+    def solve_connected(verts: int, cap: int) -> int:
         cached = memo.get(verts)
         if cached is not None:
             return cached
-        v = _max_degree_vertex(adj, verts)
+        v, deg = max_degree_vertex(adj, verts, cap)
         rest = verts & ~(1 << v)
-        packed = solve(rest) + (solve(rest & ~adj[v]) << shift)
+        packed = solve(rest, deg) + (solve(rest & ~adj[v], deg) << shift)
         if len(memo) < memo_limit:
             memo[verts] = packed
         return packed
 
-    packed = solve(g.full_mask)
+    packed = solve(g.full_mask, g.n)
     # solve and solve_connected reach each other through closure cells, a
     # cycle that would keep the memo alive until the cyclic collector runs.
     memo.clear()
-    digit = (1 << shift) - 1
-    coeffs = []
-    while packed:
-        coeffs.append(packed & digit)
-        packed >>= shift
-    return IndependencePolynomial(g.n, tuple(coeffs))
+    return _unpack(g.n, packed)
+
+
+def independence_polynomial(
+    g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT
+) -> IndependencePolynomial:
+    """Exact independence polynomial from the faster of two engines.
+
+    A greedy frontier order of width at most DP_MAX_WIDTH goes to
+    `_frontier_dp`, whose state count is at most 2^width; any other graph
+    goes to `_recurrence`, which `memo_limit` bounds.
+    """
+    order, width = frontier_order(g.adj, g.n)
+    if width <= DP_MAX_WIDTH:
+        return _frontier_dp(g, order)
+    return _recurrence(g, memo_limit)
 
 
 def brute_force_polynomial(g: Graph) -> IndependencePolynomial:

@@ -24,6 +24,7 @@ from indsets.graphs import (
     is_union_of_equal_cliques,
     mask_of,
     mask_vertices,
+    max_degree_vertex,
     max_independent_set,
     parse_graph6,
     write_graph6,
@@ -395,6 +396,56 @@ def test_mis_deterministic_witness():
 def test_mis_matches_brute_force(n, p, seed):
     g = random_graph(n, p, seed)
     assert max_independent_set(g).bit_count() == brute_alpha(g)
+
+
+@given(
+    st.integers(1, 20),
+    st.sampled_from([0.15, 0.3, 0.6]),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_capped_scan_picks_the_lowest_max_degree_vertex(n, p, seed, slack):
+    g = random_graph(n, p, seed)
+    verts = random.Random(seed).getrandbits(n) or 1
+    degrees = {v: (g.adj[v] & verts).bit_count() for v in mask_vertices(verts)}
+    top = max(degrees.values())
+    want = (min(v for v, deg in degrees.items() if deg == top), top)
+    assert max_degree_vertex(g.adj, verts, top + slack) == want
+
+
+def _mis_full_scan(g):
+    """max_independent_set's search with a full max-degree scan at every node."""
+    best = [0, 0]
+
+    def expand(chosen, size, cand):
+        if cand == 0:
+            if size > best[1]:
+                best[:] = [chosen, size]
+            return
+        if size + cand.bit_count() <= best[1]:
+            return
+        if size + graphs._clique_cover_bound(g.adj, cand) <= best[1]:
+            return
+        v = max(mask_vertices(cand), key=lambda u: ((g.adj[u] & cand).bit_count(), -u))
+        expand(chosen | 1 << v, size + 1, cand & ~(1 << v) & ~g.adj[v])
+        expand(chosen, size, cand & ~(1 << v))
+
+    expand(0, 0, g.full_mask)
+    return best[0]
+
+
+@given(st.integers(0, 20), st.sampled_from([0.15, 0.3, 0.6]), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_mis_degree_cap_keeps_the_witness(n, p, seed):
+    g = random_graph(n, p, seed)
+    assert max_independent_set(g) == _mis_full_scan(g)
+
+
+def test_mis_degree_cap_keeps_the_witness_on_regular_graphs():
+    for n, d, seed in [(24, 3, 1), (24, 4, 2), (20, 5, 3), (40, 3, 4)]:
+        g = gen_random_regular(n, d, seed)
+        assert max_independent_set(g) == _mis_full_scan(g)
 
 
 def test_graph_stats_examples():

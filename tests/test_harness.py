@@ -336,6 +336,62 @@ def test_const_flags_are_gone(flag, capsys):
     assert "--const" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["poly", "gen:petersen", "--cap", "4"], "--cap"),
+        (["poly", "gen:petersen", "--format", "csv"], "--format"),
+        (["bounds", "gen:petersen", "--checks", "x"], "--checks"),
+        (["bounds", "gen:petersen", "--seed", "3"], "--seed"),
+        (["cover", "gen:petersen", "--set", "0", "--orders", "2"], "--orders"),
+        (["cover", "gen:petersen", "--set", "0", "--format", "csv"], "--format"),
+        (["report", "r.json", "--lambda", "1"], "--lambda"),
+        (["report", "r.json", "--phi", "2"], "--phi"),
+        (["verify", "gen:petersen", "--format", "csv"], "--format"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_subcommand_help_lists_only_their_flags():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    listed = {
+        name: {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, parser in sub.items()
+    }
+    assert listed == {
+        "poly": {"--lambda", "--out"},
+        "bounds": {"--lambda", "--phi", "--format", "--out"},
+        "cover": {"--set", "--certificate", "--lambda", "--phi", "--out"},
+        "report": {"--format", "--out"},
+        "verify": {
+            "--lambda", "--phi", "--seed", "--cap", "--orders", "--checks", "--jobs", "--out"
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "Expecting value: line 1 column 1 (char 0)"),
+        ("[1, 2]", "top level is not a JSON object"),
+        ('{"records": 5}', "records is not a list of objects"),
+        ('{"records": [{}, 3]}', "records is not a list of objects"),
+    ],
+)
+def test_cli_report_rejects_malformed_file_with_located_error(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("phi", ["0", "9"])
 def test_cli_bounds_phi_out_of_range_notice(phi, tmp_path, capsys):
     argv = ["bounds", "gen:petersen", "--lambda", "1"]

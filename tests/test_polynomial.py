@@ -1,4 +1,4 @@
-"""Independence polynomial: recurrence vs enumeration oracle, products, evaluation."""
+"""Independence polynomial: both engines vs enumeration oracle, routing, products, evaluation."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indsets import polynomial
 from indsets.graphs import (
     build_graph,
     disjoint_union,
@@ -15,19 +16,28 @@ from indsets.graphs import (
     gen_complete_bipartite,
     gen_cycle,
     gen_petersen,
+    gen_random_regular,
     max_independent_set,
 )
 from indsets.harness import graph_from_spec
 from indsets.polynomial import (
+    DP_MAX_WIDTH,
     IndependencePolynomial,
+    _frontier_dp,
+    _recurrence,
     brute_force_polynomial,
     count_independent_sets,
     evaluate,
+    frontier_order,
     independence_polynomial,
     kdd_polynomial,
     kdd_union_polynomial,
     poly_product,
 )
+
+
+def _dp(g):
+    return _frontier_dp(g, frontier_order(g.adj, g.n)[0])
 
 
 def random_graph(n, p, seed):
@@ -126,7 +136,7 @@ def test_union_factorization_exact():
 @settings(max_examples=80, deadline=None)
 def test_recurrence_matches_oracle(n, p, seed):
     g = random_graph(n, p, seed)
-    assert independence_polynomial(g) == brute_force_polynomial(g)
+    assert independence_polynomial(g) == _recurrence(g) == brute_force_polynomial(g)
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 10 ** 6))
@@ -167,29 +177,33 @@ def test_json_round_trip():
 
 def test_memo_limit_zero_still_correct():
     g = gen_petersen()
-    assert independence_polynomial(g, memo_limit=0).coeffs == (1, 10, 30, 30, 5)
+    assert _recurrence(g, memo_limit=0).coeffs == (1, 10, 30, 30, 5)
 
 
-# The engine packs coefficient t at bit offset t * (n + 1). These graphs have
+# Both engines pack coefficient t at bit offset t * (n + 1). These graphs have
 # n = 64, the vertex capacity; the edgeless one has the largest coefficients
 # of any 64-vertex graph.
 
+ENGINES = (independence_polynomial, _dp, _recurrence)
+
 
 def test_edgeless_64_binomials():
-    p = independence_polynomial(build_graph(64, []))
-    assert p.coeffs == tuple(comb(64, t) for t in range(65))
+    g = build_graph(64, [])
+    for engine in ENGINES:
+        assert engine(g).coeffs == tuple(comb(64, t) for t in range(65))
 
 
 def test_32_disjoint_edges():
     g = graph_from_spec("gen:union:" + "+".join(["complete:2"] * 32))
     assert g.n == 64
-    p = independence_polynomial(g)
-    assert p.coeffs == tuple(comb(32, t) * 2**t for t in range(33))
+    for engine in ENGINES:
+        assert engine(g).coeffs == tuple(comb(32, t) * 2**t for t in range(33))
 
 
 def test_four_kdd8_union():
     g = graph_from_spec("gen:union:kdd:8+kdd:8+kdd:8+kdd:8")
-    assert independence_polynomial(g) == kdd_union_polynomial(4, 8)
+    for engine in ENGINES:
+        assert engine(g) == kdd_union_polynomial(4, 8)
 
 
 @given(
@@ -201,7 +215,90 @@ def test_four_kdd8_union():
 @settings(max_examples=60, deadline=None)
 def test_small_memo_limit_matches_default(n, p, seed, memo_limit):
     g = random_graph(n, p, seed)
-    full = independence_polynomial(g)
-    assert independence_polynomial(g, memo_limit=memo_limit) == full
+    full = _recurrence(g)
+    assert _recurrence(g, memo_limit=memo_limit) == full
     if n <= 14:
         assert full == brute_force_polynomial(g)
+
+
+# The two engines behind independence_polynomial: the frontier DP along a
+# greedy order, and the degree-capped vertex recurrence.
+
+
+def _regular_graph(n, d, seed):
+    return gen_random_regular(n + (n * d) % 2, d, seed)
+
+
+def graphs(max_n):
+    irregular = st.builds(
+        random_graph, st.integers(0, max_n), st.sampled_from([0.1, 0.25, 0.5]), st.integers(0, 10**6)
+    )
+    regular = st.builds(
+        _regular_graph, st.integers(6, max_n - 1), st.sampled_from([3, 4]), st.integers(0, 10**6)
+    )
+    return st.one_of(irregular, regular)
+
+
+@given(graphs(14))
+@settings(max_examples=60, deadline=None)
+def test_both_engines_match_oracle(g):
+    assert _dp(g) == _recurrence(g) == brute_force_polynomial(g)
+
+
+@given(graphs(24))
+@settings(max_examples=40, deadline=None)
+def test_engines_agree_up_to_24_vertices(g):
+    assert _dp(g) == _recurrence(g)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "gen:rr:28:3:1",
+        "gen:rr:28:4:2",
+        "gen:rr:28:5:3",
+        "gen:rr:24:5:4",
+        "gen:rr:48:3:5",
+        "gen:rr:64:3:6",
+    ],
+)
+def test_engines_agree_on_random_regular(spec):
+    g = graph_from_spec(spec)
+    assert _dp(g) == _recurrence(g)
+
+
+def _naive_frontier(adj, placed):
+    unplaced = [v for v in range(len(adj)) if v not in placed]
+    return {u for u in placed if any(adj[u] >> w & 1 for w in unplaced)}
+
+
+@given(graphs(20))
+@settings(max_examples=40, deadline=None)
+def test_frontier_order_is_the_greedy_min_frontier_order(g):
+    order, width = frontier_order(g.adj, g.n)
+    assert sorted(order) == list(range(g.n))
+    placed = set()
+    sizes = [0]
+    for v in order:
+        def key(u):
+            nbrs_placed = sum(g.adj[u] >> w & 1 for w in placed)
+            return (len(_naive_frontier(g.adj, placed | {u})), -nbrs_placed, u)
+
+        assert key(v) == min(key(u) for u in range(g.n) if u not in placed)
+        placed.add(v)
+        sizes.append(len(_naive_frontier(g.adj, placed)))
+    assert width == max(sizes)
+
+
+def test_routing_by_width(monkeypatch):
+    calls = []
+    monkeypatch.setattr(polynomial, "_frontier_dp", lambda g, order: calls.append("dp"))
+    monkeypatch.setattr(
+        polynomial, "_recurrence", lambda g, memo_limit: calls.append(("rec", memo_limit))
+    )
+    narrow, wide = gen_petersen(), gen_complete(DP_MAX_WIDTH + 2)
+    assert frontier_order(narrow.adj, narrow.n)[1] <= DP_MAX_WIDTH
+    assert frontier_order(wide.adj, wide.n)[1] == DP_MAX_WIDTH + 1
+    independence_polynomial(narrow)
+    independence_polynomial(wide, memo_limit=7)
+    assert calls == ["dp", ("rec", 7)]
