@@ -234,11 +234,12 @@ def _recurrence(g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT) -> IndependenceP
 def independence_polynomial(
     g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT
 ) -> IndependencePolynomial:
-    """Exact independence polynomial from the faster of two engines.
+    """Exact independence polynomial from one of two engines.
 
-    A greedy frontier order of width at most DP_MAX_WIDTH goes to
-    `_frontier_dp`, whose state count is at most 2^width; any other graph
-    goes to `_recurrence`, which `memo_limit` bounds.
+    A graph whose greedy frontier order has width at most DP_MAX_WIDTH goes
+    to `_frontier_dp`, which holds at most 2^width states; any other graph
+    goes to `_recurrence`, whose memo `memo_limit` bounds. DP_MAX_WIDTH is
+    the crossover measured on random 4- and 5-regular graphs.
     """
     order, width = frontier_order(g.adj, g.n)
     if width <= DP_MAX_WIDTH:
