@@ -163,48 +163,56 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _shuffle(items: list, getrandbits) -> None:
-    """Shuffle in place with the draws `random.shuffle` makes (Fisher-Yates).
-
-    For i from the last index down to 1, swap position i with j, where j takes
-    k = (i+1).bit_length() random bits and is redrawn while it exceeds i: by
-    rejection sampling j is uniform on [0, i]. The len(items)! sequences of
-    choices are then equally likely and give distinct permutations, so the
-    permutation is uniform.
-    """
-    for i in range(len(items) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        items[i], items[j] = items[j], items[i]
-
-
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
-    """Random simple d-regular graph via the pairing model with rejection.
+    """Uniform random simple d-regular graph: sequential pairing with rejection.
 
-    Half-edge stubs are shuffled and paired; any loop or repeated edge rejects
-    the whole attempt. Uniform over simple realizations, deterministic per seed.
+    Each vertex has d half-edge stubs. An attempt starts from a fresh stub
+    list, pairs its last unpaired stub with a uniform stub among the others
+    (the draws `random.randrange` makes: as many random bits as the count
+    has, redrawn until below it), and is abandoned at its first loop or
+    repeated edge.
+
+    Why the output is uniform: each perfect matching of the nd stubs is
+    reached with probability 1/(nd-1)!!, as every step picks uniformly among
+    the stubs left. An abandoned attempt has a prefix that already holds a
+    loop or a repeated edge, so it could only have completed as a non-simple
+    matching; an accepted attempt is therefore uniform over simple matchings.
+    Every simple d-regular graph arises from exactly (d!)^n of those (the
+    orders of the stubs at each vertex), so the accepted graph is uniform.
+
+    When 2d > n-1 the (n-1-d)-regular graph is drawn and its complement
+    returned. Complementing is a bijection between the two classes, and n*d
+    is even iff n*(n-1-d) is, so this is uniform too. Deterministic per seed.
     """
     if (n * d) % 2 != 0:
         raise GraphError("n * d must be even")
     if not 0 <= d < n:
         raise GraphError("need 0 <= d < n")
     _require_capacity(n, "vertex count")
-    rng = random.Random(seed)
-    stubs = [v for v in range(n) for _ in range(d)]
+    k = min(d, n - 1 - d)
+    getrandbits = random.Random(seed).getrandbits
+    fresh = [v for v in range(n) for _ in range(k)]
     for _ in range(RANDOM_REGULAR_RETRY_CAP):
-        _shuffle(stubs, rng.getrandbits)
+        stubs = fresh[:]
         adj = [0] * n
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
+        top = len(stubs) - 1
+        while top > 0:
+            u = stubs[top]
+            bits = top.bit_length()
+            j = getrandbits(bits)
+            while j >= top:
+                j = getrandbits(bits)
+            v = stubs[j]
             if u == v or (adj[u] >> v) & 1:
-                ok = False
                 break
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        if ok:
+            stubs[j] = stubs[top - 1]
+            top -= 2
+        else:
+            if k != d:
+                full = (1 << n) - 1
+                adj = [full ^ (1 << v) ^ row for v, row in enumerate(adj)]
             return Graph(n, tuple(adj))
     raise GraphError(
         f"no simple {d}-regular graph on {n} vertices found in "

@@ -1,5 +1,6 @@
 """Graph construction, generators, graph6 codec, and the exact solver."""
 
+import itertools
 import random
 
 import networkx as nx
@@ -182,50 +183,41 @@ def test_random_regular_rejects_bad_params():
         gen_random_regular(3, 3, 0)  # d >= n
 
 
-def test_shuffle_matches_random_shuffle():
-    # The generator's inline Fisher-Yates loop must draw exactly the indices
-    # random.shuffle draws, so seeded graphs stay what they were.
-    for length in range(2, 121):
-        for seed in range(200):
-            expected = list(range(length))
-            random.Random(seed).shuffle(expected)
-            got = list(range(length))
-            graphs._shuffle(got, random.Random(seed).getrandbits)
-            assert got == expected, (length, seed)
-
-
-def _pairing_model_with_rng_shuffle(n, d, seed, cap=graphs.RANDOM_REGULAR_RETRY_CAP):
-    """Reference copy of the generator built on random.shuffle.
+def _sequential_pairing_reference(n, d, seed, cap=graphs.RANDOM_REGULAR_RETRY_CAP):
+    """Reference copy of the generator built on rng.randrange and edge sets.
 
     Returns (graph, attempts), or raises GraphError with the generator's message.
     """
+    k = min(d, n - 1 - d)
     rng = random.Random(seed)
-    stubs = [v for v in range(n) for _ in range(d)]
     for attempt in range(1, cap + 1):
-        rng.shuffle(stubs)
-        adj = [0] * n
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (adj[u] >> v) & 1:
-                ok = False
+        stubs = [v for v in range(n) for _ in range(k)]
+        edges = set()
+        while stubs:
+            u = stubs.pop()
+            j = rng.randrange(len(stubs))
+            v = stubs[j]
+            stubs[j] = stubs[-1]
+            stubs.pop()
+            if u == v or frozenset((u, v)) in edges:
                 break
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if ok:
-            return Graph(n, tuple(adj)), attempt
+            edges.add(frozenset((u, v)))
+        else:
+            if k != d:
+                edges = {frozenset(e) for e in itertools.combinations(range(n), 2)} - edges
+            return build_graph(n, [tuple(e) for e in edges]), attempt
     raise GraphError(
         f"no simple {d}-regular graph on {n} vertices found in {cap} pairing attempts"
     )
 
 
-def test_random_regular_matches_rng_shuffle_reference():
+def test_random_regular_matches_sequential_pairing_reference():
     triples = [
         (n, d, seed)
         for d, sizes, seeds in (
             (3, range(4, 31, 2), range(15)),
             (4, range(5, 25), range(15)),
-            (5, range(6, 15, 2), range(4)),  # d=5 often needs thousands of attempts
+            (5, range(6, 15, 2), range(4)),
         )
         for n in sizes
         for seed in seeds
@@ -233,7 +225,7 @@ def test_random_regular_matches_rng_shuffle_reference():
     assert len(triples) >= 500
     restarts = []
     for n, d, seed in triples:
-        expected, attempts = _pairing_model_with_rng_shuffle(n, d, seed)
+        expected, attempts = _sequential_pairing_reference(n, d, seed)
         assert gen_random_regular(n, d, seed) == expected, (n, d, seed)
         restarts.append(attempts - 1)
     # The comparison covers seeds whose first pairings are rejected, not only
@@ -249,8 +241,49 @@ def test_random_regular_retry_cap_message(monkeypatch):
         "no simple 7-regular graph on 20 vertices found in 3 pairing attempts"
     )
     with pytest.raises(GraphError) as ref:
-        _pairing_model_with_rng_shuffle(20, 7, 1, cap=3)
+        _sequential_pairing_reference(20, 7, 1, cap=3)
     assert str(ref.value) == str(err.value)
+
+
+def _labelled_regular_graphs(n, d):
+    """Every d-regular graph on vertices 0..n-1, by enumerating edge sets."""
+    found = []
+    for edges in itertools.combinations(itertools.combinations(range(n), 2), n * d // 2):
+        degrees = [0] * n
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        if all(x == d for x in degrees):
+            found.append(build_graph(n, edges))
+    return found
+
+
+@pytest.mark.parametrize(
+    "d, count, samples, critical",
+    [
+        # critical: the 0.999 quantile of chi-square with count - 1 degrees of freedom
+        (3, 70, 7000, 111.06),
+        (4, 15, 1500, 36.12),  # 2d > n - 1: drawn as the complement of a matching
+    ],
+)
+def test_random_regular_is_uniform_on_six_vertices(d, count, samples, critical):
+    labelled = _labelled_regular_graphs(6, d)
+    assert len(labelled) == count
+    freq = dict.fromkeys(labelled, 0)
+    for seed in range(samples):
+        freq[gen_random_regular(6, d, seed)] += 1
+    expected = samples / count
+    chi_square = sum((f - expected) ** 2 / expected for f in freq.values())
+    assert min(freq.values()) > 0
+    assert chi_square < critical, chi_square
+
+
+def test_random_regular_complement_delivers_dense_degrees():
+    for seed in range(20):
+        g = gen_random_regular(20, 15, seed)
+        assert g.regular_degree() == 15
+    assert gen_random_regular(7, 4, 3).regular_degree() == 4
+    assert gen_random_regular(9, 8, 0) == gen_complete(9)
 
 
 def test_random_regular_rejects_size_beyond_capacity():
