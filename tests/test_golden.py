@@ -25,7 +25,10 @@ changed. When the rows with guessed constants were deleted, the `bounds` files
 lost the `alon`, `sapozhenko_simple`, `improved_*` and `sapozhenko_alpha`
 rows, `cover_count` rows lost `relaxed_log2`, `kahn` and `weighted_kahn` rows
 gained `holds_exact`, and the `verify` config lost `C`, `c`, `c_lambda` and
-`c_alpha`, with nothing else changed.
+`c_alpha`, with nothing else changed. When `gen_random_regular` became a
+sequential pairing, `gen:rr:20:3:7` and `gen:rr:20:4:8` became other graphs,
+so the eight `rr20d3` and `rr20d4` files were rewritten and every other file
+kept its bytes.
 """
 
 import contextlib
