@@ -133,7 +133,11 @@ def cmd_cover(args) -> int:
     graph_id, g = _single_graph(args.input)
     if args.certificate:
         with open(args.certificate, "r", encoding="ascii") as fh:
-            cert = CoverCertificate.from_json(fh.read())
+            text = fh.read()
+        try:
+            cert = CoverCertificate.from_json(text, g.n)
+        except ValueError as exc:
+            raise ValueError(f"{args.certificate}: {exc}") from exc
         ok, reason = verify_cover(g, cert)
         _emit(json.dumps({"graph_id": graph_id, "verified": ok, "reason": reason}), args.out)
         return 0 if ok else 1
@@ -159,8 +163,10 @@ def cmd_report(args) -> int:
     if not isinstance(doc, dict):
         raise ValueError(f"{args.records}: top level is not a JSON object")
     records = doc.get("records", [])
-    if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
-        raise ValueError(f"{args.records}: records is not a list of objects")
+    try:
+        harness.check_report_records(records)
+    except ValueError as exc:
+        raise ValueError(f"{args.records}: {exc}") from exc
     if args.format == "csv":
         _emit(harness.records_to_csv(records), args.out)
     else:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from .bounds import BoundReport, log2_fraction
-from .graphs import Graph, is_independent, mask_of, mask_vertices
+from .graphs import VERTEX_CAPACITY, Graph, is_independent, mask_of, mask_vertices
 
 
 def phi_default(d: int) -> int:
@@ -57,12 +57,26 @@ class CoverCertificate:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "CoverCertificate":
+    def from_json(cls, text: str, n: int = VERTEX_CAPACITY) -> "CoverCertificate":
+        """Parse `to_json` output whose vertices lie in 0..n-1.
+
+        Raises ValueError naming the first field of the wrong shape.
+        """
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("certificate is not a JSON object")
+        for key in ("seed", "envelope", "independent_set", "trace"):
+            value = obj.get(key)
+            if not isinstance(value, list) or not all(
+                type(v) is int and 0 <= v < n for v in value
+            ):
+                raise ValueError(f"certificate {key} is not a list of vertices in 0..{n - 1}")
+        if type(obj.get("phi")) is not int:
+            raise ValueError("certificate phi is not an integer")
         return cls(
             seed=mask_of(obj["seed"]),
             envelope=mask_of(obj["envelope"]),
-            phi=int(obj["phi"]),
+            phi=obj["phi"],
             independent_set=mask_of(obj["independent_set"]),
             trace=tuple(obj["trace"]),
         )

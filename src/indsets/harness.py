@@ -621,6 +621,35 @@ def summary_lines(records: list[VerificationRecord]) -> list[str]:
     return lines
 
 
+def check_report_records(records) -> None:
+    """Raise ValueError naming the first record the report renderers cannot read.
+
+    Each record is an object. Where present, `stats` is an object (or null)
+    whose `n` and `d` are integers (or null), `graph_id` is a string, and
+    `checks` is a list of objects with string `name` and `status`.
+    """
+    if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+        raise ValueError("records is not a list of objects")
+    for i, rec in enumerate(records):
+        stats = rec.get("stats")
+        if stats is not None and not isinstance(stats, dict):
+            raise ValueError(f"record {i}: stats is not an object")
+        for key in ("n", "d"):
+            value = (stats or {}).get(key)
+            if value is not None and not isinstance(value, int):
+                raise ValueError(f"record {i}: stats.{key} is not an integer")
+        if not isinstance(rec.get("graph_id", ""), str):
+            raise ValueError(f"record {i}: graph_id is not a string")
+        checks = rec.get("checks", [])
+        if not isinstance(checks, list) or not all(
+            isinstance(chk, dict)
+            and isinstance(chk.get("name"), str)
+            and isinstance(chk.get("status"), str)
+            for chk in checks
+        ):
+            raise ValueError(f"record {i}: checks is not a list of named checks with a status")
+
+
 def sort_records_for_report(records: list[dict]) -> list[dict]:
     """Counterexamples first, then by (n, d, graph_id); stable and total."""
 

@@ -381,15 +381,24 @@ def test_subcommand_help_lists_only_their_flags():
         ("[1, 2]", "top level is not a JSON object"),
         ('{"records": 5}', "records is not a list of objects"),
         ('{"records": [{}, 3]}', "records is not a list of objects"),
+        ('{"records": [{"stats": 5}]}', "record 0: stats is not an object"),
+        ('{"records": [{}, {"stats": {"n": "7"}}]}', "record 1: stats.n is not an integer"),
+        ('{"records": [{"graph_id": 3}]}', "record 0: graph_id is not a string"),
+        ('{"records": [{"checks": 5}]}', "record 0: checks is not a list of named checks with a status"),
+        (
+            '{"records": [{"checks": [{"name": "kahn"}]}]}',
+            "record 0: checks is not a list of named checks with a status",
+        ),
     ],
 )
 def test_cli_report_rejects_malformed_file_with_located_error(text, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    assert main(["report", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {path}: {message}\n"
+    for fmt in ("json", "csv"):
+        assert main(["report", str(path), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("phi", ["0", "9"])
@@ -566,6 +575,37 @@ def test_cli_cover_certificate_file_round_trip(tmp_path, capsys):
     cert_path.write_text(json.dumps(doc["certificate"]))
     assert main(["cover", "gen:petersen", "--certificate", str(cert_path)]) == 0
     assert json.loads(capsys.readouterr().out)["verified"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "Expecting value: line 1 column 1 (char 0)"),
+        ("[1]", "certificate is not a JSON object"),
+        ("{}", "certificate seed is not a list of vertices in 0..9"),
+        (
+            '{"seed": [0], "envelope": [0, 10], "phi": 2, "independent_set": [0], "trace": [0]}',
+            "certificate envelope is not a list of vertices in 0..9",
+        ),
+        (
+            '{"seed": [0], "envelope": [0], "phi": 2, "independent_set": [0], "trace": ["0"]}',
+            "certificate trace is not a list of vertices in 0..9",
+        ),
+        (
+            '{"seed": [0], "envelope": [0], "phi": "2", "independent_set": [0], "trace": [0]}',
+            "certificate phi is not an integer",
+        ),
+    ],
+)
+def test_cli_cover_certificate_rejects_malformed_file_with_located_error(
+    text, message, tmp_path, capsys
+):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert main(["cover", "gen:petersen", "--certificate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def test_order_bound_zero_orders_skips(capsys, tmp_path):
