@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from .bounds import BoundReport, log2_fraction
-from .graphs import VERTEX_CAPACITY, Graph, is_independent, mask_of, mask_vertices
+from .graphs import Graph, is_independent, mask_of, mask_vertices
 
 
 def phi_default(d: int) -> int:
@@ -57,7 +57,7 @@ class CoverCertificate:
         )
 
     @classmethod
-    def from_json(cls, text: str, n: int = VERTEX_CAPACITY) -> "CoverCertificate":
+    def from_json(cls, text: str, n: int) -> "CoverCertificate":
         """Parse `to_json` output whose vertices lie in 0..n-1.
 
         Raises ValueError naming the first field of the wrong shape.

@@ -128,7 +128,7 @@ def test_certificate_json_round_trip():
     from indsets.graphs import max_independent_set
 
     cert = build_cover(g, max_independent_set(g), 2)
-    again = CoverCertificate.from_json(cert.to_json())
+    again = CoverCertificate.from_json(cert.to_json(), g.n)
     assert again == cert
     ok, reason = verify_cover(g, again)
     assert ok, reason
