@@ -129,9 +129,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    if args.certificate is not None:
+        for flag, value in (("--set", args.set), ("--phi", args.phi), ("--lambda", args.lambdas)):
+            if value is not None:
+                args.parser.error(f"argument {flag}: not allowed with argument --certificate")
     cfg = _config_from_args(args)
     graph_id, g = _single_graph(args.input)
-    if args.certificate:
+    if args.certificate is not None:
         with open(args.certificate, "r", encoding="ascii") as fh:
             text = fh.read()
         try:
@@ -201,12 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cover = sub.add_parser("cover", help="build and verify a cover certificate")
     p_cover.add_argument("input")
-    p_cover.add_argument("--set", default="", help="independent set, e.g. 0,2,5")
+    p_cover.add_argument("--set", default=None, help="independent set, e.g. 0,2,5")
     p_cover.add_argument(
-        "--certificate", default=None, help="verify an existing certificate JSON instead"
+        "--certificate",
+        default=None,
+        help="verify an existing certificate JSON instead (takes no --set, --phi or --lambda)",
     )
     _add_flags(p_cover, "--lambda", "--phi", "--out")
-    p_cover.set_defaults(func=cmd_cover)
+    p_cover.set_defaults(func=cmd_cover, parser=p_cover)
 
     p_report = sub.add_parser("report", help="render a verify report as CSV or sorted JSON")
     p_report.add_argument("records", help="JSON report written by verify --out")

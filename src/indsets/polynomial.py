@@ -2,23 +2,27 @@
 
 Coefficient t of the polynomial counts the independent sets of size t, so the
 degree is the independence number and the coefficient sum is the total count.
-Two exact engines compute it, and `independence_polynomial` picks one per
-graph from the width of a greedy vertex order:
+`independence_polynomial` computes it with two exact methods under one rule,
+applied to the whole graph and to every component the recurrence reaches:
 
-- `_frontier_dp` places the vertices in that order and keeps one packed
-  polynomial per independent subset of the frontier (the placed vertices
-  that still have an unplaced neighbour), so its cost grows as 2^width.
-- `_recurrence` applies the vertex recurrence
+- a component whose greedy vertex order (`frontier_order`) has width at most
+  DP_MAX_WIDTH goes to `_frontier_dp`, which places the vertices in that
+  order and keeps one packed polynomial per independent subset of the
+  frontier (the placed vertices that still have an unplaced neighbour), so
+  its cost grows as 2^width;
+- a wider one takes one step of the vertex recurrence
 
       P(G) = P(G - v) + activity * P(G - v - N(v))
 
-  at a maximum-degree vertex, splits residual subgraphs into connected
-  components (their polynomials multiply), and memoizes connected residuals
+  at a vertex of its first frontier wider than DP_MAX_WIDTH (or, when its
+  minimum degree already rules the DP out, at a maximum-degree vertex), and
+  each residual subgraph is split into connected components (their
+  polynomials multiply) that face the rule again. Components are memoized
   by vertex mask.
 
-Both pack each polynomial into one integer. A 2^n enumeration oracle is kept
-alongside as an independent cross-check and is never routed through either
-engine.
+Every polynomial is packed into one integer at the whole graph's digit width.
+A 2^n enumeration oracle is kept alongside as an independent cross-check and
+is never routed through the engine.
 """
 
 from __future__ import annotations
@@ -28,12 +32,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .graphs import Graph, component_masks, mask_vertices, max_degree_vertex
+from .graphs import Graph, component_masks, mask_of, mask_vertices, max_degree_vertex
 
 BRUTE_FORCE_LIMIT = 24
 DEFAULT_MEMO_LIMIT = 1 << 22
-# Widest greedy frontier routed to the frontier DP; wider graphs use the recurrence.
-DP_MAX_WIDTH = 16
+# Widest greedy frontier solved by the frontier DP; a wider component is
+# branched on. On random 3- and 5-regular graphs with 40-64 vertices (three
+# seeds of the verify_reach benchmark corpus) 12 took the least total time,
+# 10, 11 and 13 were within 17% of it, and 8, 14 and 16 took 27-70% more.
+# The 3- to 5-regular graphs with n <= 28 measured so far have width 12 or
+# less, so each of them is one DP call.
+DP_MAX_WIDTH = 12
 
 
 @dataclass(frozen=True)
@@ -102,102 +111,150 @@ def _unpack(n: int, packed: int) -> IndependencePolynomial:
     return IndependencePolynomial(n, tuple(coeffs))
 
 
-def frontier_order(adj, n: int) -> tuple[list[int], int]:
-    """Greedy min-frontier vertex order and its width.
+def frontier_order(
+    adj, verts: int, limit: int | None = None
+) -> tuple[list[int], int, int]:
+    """Greedy min-frontier order of the subgraph induced by a vertex mask, its width and peak.
 
     The frontier is the set of placed vertices that still have an unplaced
-    neighbour; the width is its largest size after any placement. Each step
-    places the vertex with the smallest key (frontier size after placing it,
-    -(number of its placed neighbours), index). The middle term matters: on
-    eight random cubic graphs with 64 vertices it cuts the width from 15-20
-    to 11-13. `left[v]` counts v's unplaced neighbours, so each candidate
-    costs O(degree).
+    neighbour; the width is its largest size after any placement, and the
+    peak is the first frontier of that size, as a vertex mask. Given a
+    `limit`, the order stops as soon as the width exceeds it; it is then
+    partial, and the peak is the first frontier wider than `limit`.
+
+    Each step places the vertex with the smallest key (frontier size after
+    placing it, -(number of its placed neighbours), index). The middle term
+    matters: on eight random cubic graphs with 64 vertices it cuts the width
+    from 15-20 to 11-13. The frontier size is common to every candidate, so
+    `key[v]` holds its change instead, `(left[v] > 0) - ones[v]`: `left[v]`
+    counts v's unplaced neighbours and `ones[v]` its placed neighbours whose
+    only unplaced neighbour is v. A placement changes the keys of its
+    unplaced neighbours and of the last unplaced neighbour of a vertex it
+    leaves with one, so each step updates O(degree^2) keys and takes one
+    minimum.
     """
-    nbrs = [mask_vertices(a) for a in adj]
-    left = [len(nb) for nb in nbrs]
-    placed = [False] * n
-    unplaced = list(range(n))
+    nb = [0] * len(adj)
+    deg = [0] * len(adj)
+    ones = [0] * len(adj)
+    key = {}
+    for v in mask_vertices(verts):
+        nb[v] = adj[v] & verts
+        deg[v] = nb[v].bit_count()
+        key[v] = (deg[v] > 0, 0, v)
+    left = deg.copy()
+    if limit is None:
+        limit = len(adj)
+    placed = frontier = peak = 0
     order = []
     size = width = 0
-    while unplaced:
-        best_key = None
-        for v in unplaced:
-            lv = left[v]
-            after = size + (lv > 0)
-            if lv < len(nbrs[v]):
-                for u in nbrs[v]:
-                    if placed[u] and left[u] == 1:
-                        after -= 1
-            key = (after, lv - len(nbrs[v]), v)
-            if best_key is None or key < best_key:
-                best_key = key
-        size, _, best = best_key
-        width = max(width, size)
-        placed[best] = True
-        unplaced.remove(best)
-        for u in nbrs[best]:
-            left[u] -= 1
+    while key:
+        grow, _, best = min(key.values())
+        del key[best]
+        size += grow
+        placed |= 1 << best
         order.append(best)
-    return order, width
+        if left[best]:
+            frontier |= 1 << best
+        nbrs = mask_vertices(nb[best])
+        changed = []
+        for u in nbrs:
+            left[u] -= 1
+            if not placed >> u & 1:
+                changed.append(u)
+            elif not left[u]:
+                frontier &= ~(1 << u)
+        for u in (best, *nbrs):
+            if left[u] == 1 and placed >> u & 1:
+                w = (nb[u] & ~placed).bit_length() - 1
+                ones[w] += 1
+                changed.append(w)
+        for w in changed:
+            key[w] = ((left[w] > 0) - ones[w], left[w] - deg[w], w)
+        if size > width:
+            width, peak = size, frontier
+            if width > limit:
+                break
+    return order, width, peak
 
 
-def _frontier_dp(g: Graph, order: list[int]) -> IndependencePolynomial:
-    """Independence polynomial by dynamic programming along a vertex order.
+def _frontier_dp(adj, verts: int, order: list[int], shift: int) -> int:
+    """Packed independence polynomial of the subgraph induced by `verts`.
 
-    After each placement, `states` maps every independent subset of the
-    frontier (placed vertices with an unplaced neighbour) to the packed
-    polynomial of the independent sets of the placed vertices that meet the
-    frontier in exactly that subset. A vertex that leaves the frontier has
-    no unplaced neighbour left, so no later choice depends on it and its
-    states merge. Packing is as in `_recurrence`: each digit counts some of
-    the independent sets of the subgraph induced by the placed vertices, so
-    it stays below 2^(n+1) and no digit carries into the next.
+    The vertices are placed in `order`, a permutation of `verts`, with every
+    adjacency row restricted to `verts`. After each placement, `states` maps
+    every independent subset of the frontier (placed vertices with an
+    unplaced neighbour) to the packed polynomial of the independent sets of
+    the placed vertices that meet the frontier in exactly that subset. A
+    vertex that leaves the frontier has no unplaced neighbour left, so no
+    later choice depends on it and its states merge.
+
+    Coefficient t sits at bit offset t * shift, and the caller passes the
+    whole graph's shift n + 1 however few vertices `verts` holds. Each digit
+    counts some of the independent sets of a subgraph of at most n vertices,
+    so it stays below 2^(n+1) and no digit carries into the next; and the
+    result shares its digit width with the polynomials of the other
+    components, so products with them stay exact as in `_split_engine`.
     """
-    adj = g.adj
-    shift = g.n + 1
-    left = [adj[v].bit_count() for v in range(g.n)]
-    frontier = 0
+    left = [0] * len(adj)
+    for v in order:
+        left[v] = (adj[v] & verts).bit_count()
     states = {0: 1}
     for v in order:
         bit = 1 << v
-        nb = adj[v]
-        if left[v]:
-            frontier |= bit
+        nb = adj[v] & verts
+        drop = 0 if left[v] else bit
         for u in mask_vertices(nb):
             left[u] -= 1
             if not left[u]:
-                frontier &= ~(1 << u)
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for s, p in states.items():
-            t = s & frontier
-            nxt[t] = get(t, 0) + p
-            if not s & nb:
-                t = (s | bit) & frontier
-                nxt[t] = get(t, 0) + (p << shift)
-        states = nxt
-    return _unpack(g.n, states[0])
+                drop |= 1 << u
+        states.update({s | bit: p << shift for s, p in states.items() if not s & nb})
+        if drop:
+            keep = ~drop
+            for s in [s for s in states if s & drop]:
+                states[s & keep] += states.pop(s)
+    return states[0]
 
 
-def _recurrence(g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT) -> IndependencePolynomial:
-    """Independence polynomial by the vertex recurrence.
+def _split_engine(
+    g: Graph, max_width: int, memo_limit: int = DEFAULT_MEMO_LIMIT
+) -> IndependencePolynomial:
+    """Independence polynomial by recurrence branches down to frontier-DP leaves.
 
-    Branches at a maximum-degree vertex of the current induced subgraph
-    (lowest index on ties) and factors over connected components at every
-    node. The memo is keyed by connected vertex mask only; single-vertex
-    components multiply by (1 + x) inline. The memo table is private to this
-    call and stops growing once `memo_limit` entries are stored. Degrees
-    cannot grow in an induced subgraph, so each branch vertex's degree caps
-    the scans of its children.
+    Every component the recurrence reaches, starting with the whole graph,
+    is solved the same way. On a memo miss the component's greedy frontier
+    order is taken; if its width is at most `max_width`, `_frontier_dp`
+    solves the component along it. Otherwise the vertex recurrence
+
+        P(G) = P(G - v) + activity * P(G - v - N(v))
+
+    is applied once. The order stops at its first frontier wider than
+    `max_width`, and the branch vertex v is the vertex of that frontier with
+    the most unplaced neighbours, then the most neighbours in the
+    component, then the lowest index. Both residuals lose a vertex of the
+    frontier that was too wide, one that would have stayed on it longest,
+    and G - N[v] also loses its unplaced neighbours. Each
+    residual subgraph is split into connected components, whose polynomials
+    multiply and which face the same test; single-vertex components
+    multiply by (1 + x) inline. The memo is keyed by vertex mask, is private
+    to this call and stops growing once `memo_limit` entries are stored.
+
+    No order is narrower than the component's minimum degree: just before
+    the last vertex is placed, all of its neighbours are on the frontier. A
+    component whose minimum degree exceeds `max_width` therefore takes no
+    order and is branched on at a maximum-degree vertex (lowest index on
+    ties); a negative `max_width` leaves this pure recurrence everywhere.
+    Degrees cannot grow in an induced subgraph, so each such branch
+    vertex's degree caps the scans of its children.
 
     Each polynomial is packed into one int, coefficient t at bit offset
-    t * (n + 1) for n = g.n (Kronecker substitution x = 2^(n+1)). This is
-    exact: every polynomial formed here, whether a component's, a product
-    over components or P(G - v) + x * P(G - N[v]), is the independence
-    polynomial of an induced subgraph on at most n vertices. Its coefficients
-    count independent sets, so each is at most 2^n < 2^(n+1). As every
-    coefficient is nonnegative, each digit of a packed product or sum is the
-    matching coefficient of the result, and no digit carries into the next.
+    t * (n + 1) for n = g.n (Kronecker substitution x = 2^(n+1)), DP leaves
+    included. This is exact: every polynomial formed here, whether a
+    component's, a product over components or P(G - v) + x * P(G - N[v]),
+    is the independence polynomial of an induced subgraph on at most n
+    vertices. Its coefficients count independent sets, so each is at most
+    2^n < 2^(n+1). As every coefficient is nonnegative, each digit of a
+    packed product or sum is the matching coefficient of the result, and no
+    digit carries into the next.
     """
     adj = g.adj
     shift = g.n + 1
@@ -210,22 +267,34 @@ def _recurrence(g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT) -> IndependenceP
             if comp & (comp - 1) == 0:
                 packed *= one_plus_x
             else:
-                packed *= solve_connected(comp, cap)
+                packed *= solve_component(comp, cap)
         return packed
 
-    def solve_connected(verts: int, cap: int) -> int:
+    def solve_component(verts: int, cap: int) -> int:
         cached = memo.get(verts)
         if cached is not None:
             return cached
-        v, deg = max_degree_vertex(adj, verts, cap)
+        if min((adj[u] & verts).bit_count() for u in mask_vertices(verts)) > max_width:
+            v, cap = max_degree_vertex(adj, verts, cap)
+        else:
+            order, width, peak = frontier_order(adj, verts, max_width)
+            if width <= max_width:
+                return remember(verts, _frontier_dp(adj, verts, order, shift))
+            unplaced = verts & ~mask_of(order)
+            v = max(
+                mask_vertices(peak),
+                key=lambda u: ((adj[u] & unplaced).bit_count(), (adj[u] & verts).bit_count(), -u),
+            )
         rest = verts & ~(1 << v)
-        packed = solve(rest, deg) + (solve(rest & ~adj[v], deg) << shift)
+        return remember(verts, solve(rest, cap) + (solve(rest & ~adj[v], cap) << shift))
+
+    def remember(verts: int, packed: int) -> int:
         if len(memo) < memo_limit:
             memo[verts] = packed
         return packed
 
-    packed = solve(g.full_mask, g.n)
-    # solve and solve_connected reach each other through closure cells, a
+    packed = solve_component(g.full_mask, g.n) if g.n else 1
+    # solve and solve_component reach each other through closure cells, a
     # cycle that would keep the memo alive until the cyclic collector runs.
     memo.clear()
     return _unpack(g.n, packed)
@@ -234,17 +303,15 @@ def _recurrence(g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT) -> IndependenceP
 def independence_polynomial(
     g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT
 ) -> IndependencePolynomial:
-    """Exact independence polynomial from one of two engines.
+    """Exact independence polynomial by `_split_engine` at DP_MAX_WIDTH.
 
-    A graph whose greedy frontier order has width at most DP_MAX_WIDTH goes
-    to `_frontier_dp`, which holds at most 2^width states; any other graph
-    goes to `_recurrence`, whose memo `memo_limit` bounds. DP_MAX_WIDTH is
-    the crossover measured on random 4- and 5-regular graphs.
+    One rule covers the graph and every component the recurrence reaches: a
+    component whose greedy frontier order has width at most DP_MAX_WIDTH is
+    solved by the frontier DP, which holds at most 2^width states; a wider
+    one is branched on once and its residual components are checked again.
+    `memo_limit` bounds the memo of the branches and leaves.
     """
-    order, width = frontier_order(g.adj, g.n)
-    if width <= DP_MAX_WIDTH:
-        return _frontier_dp(g, order)
-    return _recurrence(g, memo_limit)
+    return _split_engine(g, DP_MAX_WIDTH, memo_limit)
 
 
 def brute_force_polynomial(g: Graph) -> IndependencePolynomial:

@@ -578,6 +578,22 @@ def test_cli_cover_certificate_file_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra, flag",
+    [(["--set", "1,3"], "--set"), (["--phi", "1"], "--phi"), (["--lambda", "5"], "--lambda")],
+)
+def test_cli_cover_certificate_rejects_flags_it_does_not_read(extra, flag, tmp_path, capsys):
+    assert main(["cover", "gen:petersen", "--set", "0,2", "--phi", "2"]) == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(json.loads(capsys.readouterr().out)["certificate"]))
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "gen:petersen", "--certificate", str(cert_path), *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: not allowed with argument --certificate" in captured.err
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("", "Expecting value: line 1 column 1 (char 0)"),

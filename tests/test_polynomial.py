@@ -17,14 +17,16 @@ from indsets.graphs import (
     gen_cycle,
     gen_petersen,
     gen_random_regular,
+    max_degree_vertex,
     max_independent_set,
 )
 from indsets.harness import graph_from_spec
 from indsets.polynomial import (
+    DEFAULT_MEMO_LIMIT,
     DP_MAX_WIDTH,
     IndependencePolynomial,
-    _frontier_dp,
-    _recurrence,
+    _split_engine,
+    _unpack,
     brute_force_polynomial,
     count_independent_sets,
     evaluate,
@@ -37,7 +39,14 @@ from indsets.polynomial import (
 
 
 def _dp(g):
-    return _frontier_dp(g, frontier_order(g.adj, g.n)[0])
+    """The frontier DP on the whole graph, whatever its width."""
+    order = frontier_order(g.adj, g.full_mask)[0]
+    return _unpack(g.n, polynomial._frontier_dp(g.adj, g.full_mask, order, g.n + 1))
+
+
+def _recurrence(g, memo_limit=DEFAULT_MEMO_LIMIT):
+    """The pure vertex recurrence: a negative width limit takes no order and no DP leaf."""
+    return _split_engine(g, -1, memo_limit)
 
 
 def random_graph(n, p, seed):
@@ -178,32 +187,54 @@ def test_json_round_trip():
 def test_memo_limit_zero_still_correct():
     g = gen_petersen()
     assert _recurrence(g, memo_limit=0).coeffs == (1, 10, 30, 30, 5)
+    assert _split_engine(g, 2, memo_limit=0).coeffs == (1, 10, 30, 30, 5)
 
 
-# Both engines pack coefficient t at bit offset t * (n + 1). These graphs have
-# n = 64, the vertex capacity; the edgeless one has the largest coefficients
-# of any 64-vertex graph.
+# Every path packs coefficient t at bit offset t * (n + 1), DP leaves on a
+# component included. These graphs have n = 64, the vertex capacity; the
+# edgeless one has the largest coefficients of any 64-vertex graph.
 
-ENGINES = (independence_polynomial, _dp, _recurrence)
+ENGINES = (independence_polynomial, _dp, _recurrence, lambda g: _split_engine(g, 3))
 
 
-def test_edgeless_64_binomials():
+def _dp_leaf_shifts(monkeypatch):
+    """Record the shift of every frontier-DP call, leaves of the split engine included."""
+    shifts = []
+    dp = polynomial._frontier_dp
+
+    def spy(adj, verts, order, shift):
+        shifts.append(shift)
+        return dp(adj, verts, order, shift)
+
+    monkeypatch.setattr(polynomial, "_frontier_dp", spy)
+    return shifts
+
+
+def test_edgeless_64_binomials(monkeypatch):
+    shifts = _dp_leaf_shifts(monkeypatch)
     g = build_graph(64, [])
     for engine in ENGINES:
         assert engine(g).coeffs == tuple(comb(64, t) for t in range(65))
+    assert shifts and set(shifts) == {65}
 
 
-def test_32_disjoint_edges():
+def test_32_disjoint_edges(monkeypatch):
+    shifts = _dp_leaf_shifts(monkeypatch)
     g = graph_from_spec("gen:union:" + "+".join(["complete:2"] * 32))
     assert g.n == 64
     for engine in ENGINES:
         assert engine(g).coeffs == tuple(comb(32, t) * 2**t for t in range(33))
+    assert shifts and set(shifts) == {65}
 
 
-def test_four_kdd8_union():
+def test_four_kdd8_union(monkeypatch):
+    shifts = _dp_leaf_shifts(monkeypatch)
     g = graph_from_spec("gen:union:kdd:8+kdd:8+kdd:8+kdd:8")
     for engine in ENGINES:
         assert engine(g) == kdd_union_polynomial(4, 8)
+    # At width limit 3 the K_{8,8} copies are branched on until their
+    # residual components fit, so most leaves are proper components.
+    assert len(shifts) > len(ENGINES) and set(shifts) == {65}
 
 
 @given(
@@ -217,12 +248,16 @@ def test_small_memo_limit_matches_default(n, p, seed, memo_limit):
     g = random_graph(n, p, seed)
     full = _recurrence(g)
     assert _recurrence(g, memo_limit=memo_limit) == full
+    assert _split_engine(g, 3, memo_limit=memo_limit) == full
     if n <= 14:
         assert full == brute_force_polynomial(g)
 
 
-# The two engines behind independence_polynomial: the frontier DP along a
-# greedy order, and the degree-capped vertex recurrence.
+# The split engine behind independence_polynomial branches with the vertex
+# recurrence until each component's greedy frontier order fits the width
+# limit, then runs the frontier DP along it. A small forced limit exercises
+# branches and DP leaves together; a negative one leaves the pure
+# recurrence, and `_dp` is the pure DP.
 
 
 def _regular_graph(n, d, seed):
@@ -239,16 +274,16 @@ def graphs(max_n):
     return st.one_of(irregular, regular)
 
 
-@given(graphs(14))
+@given(graphs(14), st.integers(2, 4))
 @settings(max_examples=60, deadline=None)
-def test_both_engines_match_oracle(g):
-    assert _dp(g) == _recurrence(g) == brute_force_polynomial(g)
+def test_both_engines_match_oracle(g, max_width):
+    assert _split_engine(g, max_width) == _dp(g) == _recurrence(g) == brute_force_polynomial(g)
 
 
-@given(graphs(24))
+@given(graphs(24), st.integers(2, 4))
 @settings(max_examples=40, deadline=None)
-def test_engines_agree_up_to_24_vertices(g):
-    assert _dp(g) == _recurrence(g)
+def test_engines_agree_up_to_24_vertices(g, max_width):
+    assert _split_engine(g, max_width) == _dp(g) == _recurrence(g)
 
 
 @pytest.mark.parametrize(
@@ -264,41 +299,101 @@ def test_engines_agree_up_to_24_vertices(g):
 )
 def test_engines_agree_on_random_regular(spec):
     g = graph_from_spec(spec)
-    assert _dp(g) == _recurrence(g)
+    assert independence_polynomial(g) == _dp(g) == _recurrence(g)
 
 
-def _naive_frontier(adj, placed):
-    unplaced = [v for v in range(len(adj)) if v not in placed]
+def _naive_frontier(adj, verts, placed):
+    unplaced = [v for v in range(len(adj)) if verts >> v & 1 and v not in placed]
     return {u for u in placed if any(adj[u] >> w & 1 for w in unplaced)}
 
 
-@given(graphs(20))
+@given(graphs(20), st.integers(0, 2**20 - 1), st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
-def test_frontier_order_is_the_greedy_min_frontier_order(g):
-    order, width = frontier_order(g.adj, g.n)
-    assert sorted(order) == list(range(g.n))
-    placed = set()
-    sizes = [0]
-    for v in order:
-        def key(u):
-            nbrs_placed = sum(g.adj[u] >> w & 1 for w in placed)
-            return (len(_naive_frontier(g.adj, placed | {u})), -nbrs_placed, u)
+def test_frontier_order_is_the_greedy_min_frontier_order(g, mask, limit):
+    for verts in (g.full_mask, g.full_mask & mask):
+        members = [v for v in range(g.n) if verts >> v & 1]
+        order, width, peak = frontier_order(g.adj, verts)
+        assert sorted(order) == members
+        placed = set()
+        frontiers = [set()]
+        for v in order:
+            def key(u):
+                nbrs_placed = sum(g.adj[u] >> w & 1 for w in placed)
+                return (len(_naive_frontier(g.adj, verts, placed | {u})), -nbrs_placed, u)
 
-        assert key(v) == min(key(u) for u in range(g.n) if u not in placed)
-        placed.add(v)
-        sizes.append(len(_naive_frontier(g.adj, placed)))
-    assert width == max(sizes)
+            assert key(v) == min(key(u) for u in members if u not in placed)
+            placed.add(v)
+            frontiers.append(_naive_frontier(g.adj, verts, placed))
+        assert width == max(map(len, frontiers))
+        assert {v for v in range(g.n) if peak >> v & 1} == next(
+            f for f in frontiers if len(f) == width
+        )
+        # With a limit the order stops at the first frontier wider than it.
+        part, part_width, part_peak = frontier_order(g.adj, verts, limit)
+        if width <= limit:
+            assert (part, part_width, part_peak) == (order, width, peak)
+        else:
+            k = next(i for i, f in enumerate(frontiers) if len(f) > limit)
+            assert part == order[:k] and part_width == limit + 1
+            assert {v for v in range(g.n) if part_peak >> v & 1} == frontiers[k]
 
 
 def test_routing_by_width(monkeypatch):
     calls = []
-    monkeypatch.setattr(polynomial, "_frontier_dp", lambda g, order: calls.append("dp"))
+    order, dp, branch = polynomial.frontier_order, polynomial._frontier_dp, max_degree_vertex
+
+    def spy_order(adj, verts, limit):
+        result = order(adj, verts, limit)
+        calls.append(("order", result[1]))
+        return result
+
+    def spy_dp(adj, verts, order, shift):
+        calls.append("dp")
+        return dp(adj, verts, order, shift)
+
+    def spy_branch(adj, verts, cap):
+        calls.append("branch")
+        return branch(adj, verts, cap)
+
+    monkeypatch.setattr(polynomial, "frontier_order", spy_order)
+    monkeypatch.setattr(polynomial, "_frontier_dp", spy_dp)
+    monkeypatch.setattr(polynomial, "max_degree_vertex", spy_branch)
+
+    narrow = gen_petersen()
+    assert independence_polynomial(narrow).total() == 76
+    (_, width), dp_call = calls
+    assert width <= DP_MAX_WIDTH and dp_call == "dp"
+
+    # No order of K_m is narrower than its minimum degree m - 1, so K_(T+2)
+    # is branched on without one, and the K_(T+1) left fits.
+    calls.clear()
+    wide = gen_complete(DP_MAX_WIDTH + 2)
+    assert independence_polynomial(wide).coeffs == (1, DP_MAX_WIDTH + 2)
+    assert calls == ["branch", ("order", DP_MAX_WIDTH), "dp"]
+
+    # Several levels of branches before the leaves fit: an order that ends
+    # wider than the limit is a branch at its peak frontier, and each DP
+    # leaf follows an order that fits.
+    g = graph_from_spec("gen:rr:24:5:4")
+    expected = _recurrence(g)
+    calls.clear()
+    assert _split_engine(g, 4) == expected
+    widths = [call[1] for call in calls if isinstance(call, tuple)]
+    assert calls[0] == "branch" and max(widths) > 4
+    assert calls.count("dp") == sum(w <= 4 for w in widths) > 1
+    for before, call in zip(calls, calls[1:]):
+        assert call != "dp" or before[1] <= 4
+
+    # The pure recurrence takes no order at all.
+    calls.clear()
+    assert _recurrence(wide).coeffs == (1, DP_MAX_WIDTH + 2)
+    assert calls and set(calls) == {"branch"}
+
+    seen = []
     monkeypatch.setattr(
-        polynomial, "_recurrence", lambda g, memo_limit: calls.append(("rec", memo_limit))
+        polynomial,
+        "_split_engine",
+        lambda g, max_width, memo_limit: seen.append((max_width, memo_limit)),
     )
-    narrow, wide = gen_petersen(), gen_complete(DP_MAX_WIDTH + 2)
-    assert frontier_order(narrow.adj, narrow.n)[1] <= DP_MAX_WIDTH
-    assert frontier_order(wide.adj, wide.n)[1] == DP_MAX_WIDTH + 1
-    independence_polynomial(narrow)
     independence_polynomial(wide, memo_limit=7)
-    assert calls == ["dp", ("rec", 7)]
+    assert seen == [(DP_MAX_WIDTH, 7)]
