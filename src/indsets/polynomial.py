@@ -7,9 +7,11 @@ applied to the whole graph and to every component the recurrence reaches:
 
 - a component whose greedy vertex order (`frontier_order`) has width at most
   DP_MAX_WIDTH goes to `_frontier_dp`, which places the vertices in that
-  order and keeps one packed polynomial per independent subset of the
-  frontier (the placed vertices that still have an unplaced neighbour), so
-  its cost grows as 2^width;
+  order and keeps one packed polynomial per blocked set, the set of unplaced
+  vertices that an independent set of the placed ones has a neighbour in.
+  Only the set's part on the frontier (the placed vertices that still have
+  an unplaced neighbour) blocks anything, so there are at most 2^width
+  blocked sets, and frontier subsets that block the same vertices share one;
 - a wider one takes one step of the vertex recurrence
 
       P(G) = P(G - v) + activity * P(G - v - N(v))
@@ -38,11 +40,12 @@ BRUTE_FORCE_LIMIT = 24
 DEFAULT_MEMO_LIMIT = 1 << 22
 # Widest greedy frontier solved by the frontier DP; a wider component is
 # branched on. On random 3- and 5-regular graphs with 40-64 vertices (three
-# seeds of the verify_reach benchmark corpus) 12 took the least total time,
-# 10, 11 and 13 were within 17% of it, and 8, 14 and 16 took 27-70% more.
-# The 3- to 5-regular graphs with n <= 28 measured so far have width 12 or
-# less, so each of them is one DP call.
-DP_MAX_WIDTH = 12
+# seeds of the verify_reach benchmark corpus) 14 took the least total time,
+# 12, 13, 15 and 16 were within 9% of it, 10 and 11 took 19-25% more, and
+# 18, 20 and 24 took 24-60% more and held 7-70 MB more memory, against 2-5
+# MB at 14. The 3- to 5-regular graphs with n <= 28 measured so far have
+# width 12 or less, and K_{8,8} has width 13, so each is one DP call.
+DP_MAX_WIDTH = 14
 
 
 @dataclass(frozen=True)
@@ -182,36 +185,51 @@ def _frontier_dp(adj, verts: int, order: list[int], shift: int) -> int:
 
     The vertices are placed in `order`, a permutation of `verts`, with every
     adjacency row restricted to `verts`. After each placement, `states` maps
-    every independent subset of the frontier (placed vertices with an
-    unplaced neighbour) to the packed polynomial of the independent sets of
-    the placed vertices that meet the frontier in exactly that subset. A
-    vertex that leaves the frontier has no unplaced neighbour left, so no
-    later choice depends on it and its states merge.
+    each blocked set B, a set of unplaced vertices, to the packed polynomial
+    of the independent sets S of the placed vertices whose unplaced
+    neighbours are exactly B. Placing v visits every state once: if v is in
+    B, no such S can take v, and the state only loses v's bit; otherwise S
+    may leave v out, which keeps the key, or take it, which adds v's
+    unplaced neighbours to the key and one digit to the value. Once every
+    vertex is placed, the one state left is B = 0.
+
+    These states are a quotient of independent subsets of the frontier
+    (placed vertices with an unplaced neighbour): a vertex of S off the
+    frontier blocks nothing, so B depends on S only through its frontier
+    part, and frontier subsets that block the same vertices share a state.
+    So there are at most 2^width states and usually far fewer, and a vertex
+    that leaves the frontier needs no merge of its own.
+
+    Each step reads a snapshot of the items and edits `states` in place. No
+    key it writes holds v, so a key holding v is only removed, and every
+    value it adds comes from the snapshot: no state's old value is read
+    after it has changed.
 
     Coefficient t sits at bit offset t * shift, and the caller passes the
     whole graph's shift n + 1 however few vertices `verts` holds. Each digit
-    counts some of the independent sets of a subgraph of at most n vertices,
-    so it stays below 2^(n+1) and no digit carries into the next; and the
-    result shares its digit width with the polynomials of the other
-    components, so products with them stay exact as in `_split_engine`.
+    counts the independent sets of one size and one blocked set in a
+    subgraph of at most n vertices, so it stays below 2^(n+1) and no digit
+    carries into the next; and the result shares its digit width with the
+    polynomials of the other components, so products with them stay exact
+    as in `_split_engine`.
     """
-    left = [0] * len(adj)
-    for v in order:
-        left[v] = (adj[v] & verts).bit_count()
+    unplaced = verts
     states = {0: 1}
     for v in order:
         bit = 1 << v
-        nb = adj[v] & verts
-        drop = 0 if left[v] else bit
-        for u in mask_vertices(nb):
-            left[u] -= 1
-            if not left[u]:
-                drop |= 1 << u
-        states.update({s | bit: p << shift for s, p in states.items() if not s & nb})
-        if drop:
-            keep = ~drop
-            for s in [s for s in states if s & drop]:
-                states[s & keep] += states.pop(s)
+        unplaced ^= bit
+        nb = adj[v] & unplaced
+        for blk, p in list(states.items()):
+            if blk & bit:
+                del states[blk]
+                blk ^= bit
+            else:
+                blk |= nb
+                p <<= shift
+            if blk in states:
+                states[blk] += p
+            else:
+                states[blk] = p
     return states[0]
 
 

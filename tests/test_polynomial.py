@@ -235,6 +235,12 @@ def test_four_kdd8_union(monkeypatch):
     # At width limit 3 the K_{8,8} copies are branched on until their
     # residual components fit, so most leaves are proper components.
     assert len(shifts) > len(ENGINES) and set(shifts) == {65}
+    # K_{8,8} has greedy width 13, within DP_MAX_WIDTH, so the default
+    # engine solves the union with one DP on the whole graph and no branch.
+    assert frontier_order(g.adj, g.full_mask)[1] == 13 <= DP_MAX_WIDTH
+    shifts.clear()
+    assert independence_polynomial(g) == kdd_union_polynomial(4, 8)
+    assert shifts == [65]
 
 
 @given(
@@ -278,6 +284,29 @@ def graphs(max_n):
 @settings(max_examples=60, deadline=None)
 def test_both_engines_match_oracle(g, max_width):
     assert _split_engine(g, max_width) == _dp(g) == _recurrence(g) == brute_force_polynomial(g)
+
+
+def _induced(g, members):
+    index = {v: i for i, v in enumerate(members)}
+    edges = [(index[u], index[w]) for u in members for w in members if u < w and g.adj[u] >> w & 1]
+    return build_graph(len(members), edges)
+
+
+@given(graphs(14), st.integers(0, 2**14 - 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_frontier_dp_exact_along_any_order(g, mask, data):
+    # The DP is exact for every order, not only the greedy one the engine
+    # takes: each blocked set is tracked whatever the frontier looks like.
+    shift = g.n + 1
+    for verts in (g.full_mask, g.full_mask & mask):
+        members = [v for v in range(g.n) if verts >> v & 1]
+        order = data.draw(st.permutations(members))
+        packed = polynomial._frontier_dp(g.adj, verts, order, shift)
+        coeffs = []
+        while packed:
+            coeffs.append(packed & ((1 << shift) - 1))
+            packed >>= shift
+        assert tuple(coeffs) == brute_force_polynomial(_induced(g, members)).coeffs
 
 
 @given(graphs(24), st.integers(2, 4))
