@@ -41,10 +41,10 @@ DEFAULT_MEMO_LIMIT = 1 << 22
 # Widest greedy frontier solved by the frontier DP; a wider component is
 # branched on. On random 3- and 5-regular graphs with 40-64 vertices (three
 # seeds of the verify_reach benchmark corpus) 14 took the least total time,
-# 12, 13, 15 and 16 were within 9% of it, 10 and 11 took 19-25% more, and
-# 18, 20 and 24 took 24-60% more and held 7-70 MB more memory, against 2-5
-# MB at 14. The 3- to 5-regular graphs with n <= 28 measured so far have
-# width 12 or less, and K_{8,8} has width 13, so each is one DP call.
+# 15 was within 2% of it, 10-13 and 16-20 took 9-24% more, and 24 took 64%
+# more; peak memory grew by 1-4 MB at 14, 6-12 MB at 18 and 24-55 MB at 24.
+# The 3- to 5-regular graphs with n <= 28 measured so far have width 12 or
+# less, and K_{8,8} has width 13, so each is one DP call.
 DP_MAX_WIDTH = 14
 
 
@@ -201,7 +201,7 @@ def _frontier_dp(adj, verts: int, order: list[int], shift: int) -> int:
     that leaves the frontier needs no merge of its own. Each step fills a
     new dict: updating `states` in place over a snapshot of its items was
     as fast but raised the verify_reach benchmark's peak memory by 15%
-    instead of 8% at DP_MAX_WIDTH = 14.
+    instead of 10% at DP_MAX_WIDTH = 14.
 
     Coefficient t sits at bit offset t * shift, and the caller passes the
     whole graph's shift n + 1 however few vertices `verts` holds. Each digit
