@@ -6,15 +6,11 @@ from .bounds import (
     alekseev_weighted_bound,
     binary_entropy,
     conjecture_bound,
-    conjecture_holds_exact,
     fixed_size_bound,
     independent_first_bound,
-    independent_first_holds_exact,
     kahn_bound,
-    kdd_exponent_expansion,
     kdd_weighted_bound,
     order_bound,
-    weighted_conjecture_holds_exact,
     weighted_kahn_bound,
 )
 from .cover import (

@@ -1,9 +1,17 @@
 """Closed-form upper bounds for (weighted) independent-set counts in regular graphs.
 
 Every evaluator returns a BoundReport holding a base-2 logarithm of the bound
-("log" is log2 throughout). Bounds that are rational for rational activity
-also carry the exact value, and the conjectured extremal inequalities are
-checked by comparing integer powers so no irrational root is ever taken.
+("log" is log2 throughout) and the bound's cleared form: an integer `power`,
+an exact right side `cleared` and an integer `scale`. A value lies at or
+below the bound iff
+
+    value**power * scale <= cleared.
+
+Raising both sides to `power` clears every fractional exponent, so each
+verdict is decided in exact integer or rational arithmetic and no irrational
+root is ever taken. `BoundReport.judge` applies this rule; nothing else
+decides a bound. Bounds that are rational for rational activity also carry
+the exact value.
 """
 
 from __future__ import annotations
@@ -24,19 +32,34 @@ def log2_fraction(q: Fraction) -> float:
 
 @dataclass
 class BoundReport:
-    """A named bound value in log2 domain, with exact witness where available.
+    """A named bound value in log2 domain, its cleared form, and a verdict once judged.
 
     `exact_value`, when present, is the rational quantity whose log2 equals
-    `log2_value`; for bounds reported as an integer power (to stay rational)
-    the power and the bound's own log2 live in `constants`.
+    `log2_value`. `order_bound` reports the d-th power of its bound that way
+    (the plain product, which is rational); the bound's own log2 is then
+    constants["bound_log2"]. `tight` (value equals bound) is not serialised.
     """
 
     name: str
     log2_value: float
+    power: int
+    cleared: int | Fraction
+    scale: int = 1
     exact_value: Fraction | None = None
     holds_exact: bool | None = None
     margin_log2: float | None = None
+    tight: bool | None = None
     constants: dict = field(default_factory=dict)
+
+    def judge(self, value, value_log2: float) -> BoundReport:
+        """Decide value <= bound by the cleared form; margin is log2(bound) - value_log2."""
+        lhs = value**self.power
+        if self.scale != 1:
+            lhs *= self.scale
+        self.holds_exact = lhs <= self.cleared
+        self.tight = lhs == self.cleared
+        self.margin_log2 = self.constants.get("bound_log2", self.log2_value) - value_log2
+        return self
 
     def to_dict(self) -> dict:
         out: dict = {"name": self.name, "log2_value": self.log2_value}
@@ -49,12 +72,7 @@ class BoundReport:
 
 
 def _exact_report(name: str, exact: Fraction, **constants) -> BoundReport:
-    return BoundReport(
-        name=name,
-        log2_value=log2_fraction(exact),
-        exact_value=exact,
-        constants=constants,
-    )
+    return BoundReport(name, log2_fraction(exact), 1, exact, exact_value=exact, constants=constants)
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +96,7 @@ def alekseev_weighted_bound(n: int, alpha: int, activity) -> BoundReport:
     if lam <= 0:
         raise ValueError("activity must be positive")
     exact = (1 + lam * n / alpha) ** alpha
-    return _exact_report(
-        "alekseev_weighted", exact, n=n, alpha=alpha, activity=str(lam)
-    )
+    return _exact_report("alekseev_weighted", exact, n=n, alpha=alpha, activity=str(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +107,7 @@ def alekseev_weighted_bound(n: int, alpha: int, activity) -> BoundReport:
 def kahn_bound(n: int, d: int) -> BoundReport:
     """exp2{(n/2)(1 + 2/d)}; exact power of two when the exponent is integral.
 
-    count <= bound iff count^(2d) <= 2^(n(d+2)), which is
-    `independent_first_holds_exact(count, n, d, 0, 1)`.
+    Cleared form: count^(2d) <= 2^(n(d+2)).
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -100,26 +115,23 @@ def kahn_bound(n: int, d: int) -> BoundReport:
     exact = None
     if n * (d + 2) % (2 * d) == 0:
         exact = Fraction(2) ** (n * (d + 2) // (2 * d))
-    return BoundReport("kahn", log2, exact_value=exact, constants={"n": n, "d": d})
+    cleared = 1 << n * (d + 2)
+    return BoundReport("kahn", log2, 2 * d, cleared, exact_value=exact, constants={"n": n, "d": d})
 
 
 def conjecture_bound(n: int, d: int) -> BoundReport:
-    """(2^(d+1) - 1)^(n/2d): the conjectured extremal count, attained by K_{d,d} unions."""
+    """(2^(d+1) - 1)^(n/2d): the extremal count, attained by K_{d,d} unions.
+
+    Cleared form: count^(2d) <= (2^(d+1) - 1)^n.
+    """
     if d < 1:
         raise ValueError("need d >= 1")
     base = 2 ** (d + 1) - 1
     log2 = n * math.log2(base) / (2 * d)
     exact = Fraction(base) ** (n // (2 * d)) if n % (2 * d) == 0 else None
     return BoundReport(
-        "conjecture_counts", log2, exact_value=exact, constants={"n": n, "d": d}
+        "conjecture_counts", log2, 2 * d, base**n, exact_value=exact, constants={"n": n, "d": d}
     )
-
-
-def conjecture_holds_exact(count: int, n: int, d: int) -> bool:
-    """Integer check count^(2d) <= (2^(d+1)-1)^n, avoiding irrational roots."""
-    if count < 1 or d < 1:
-        raise ValueError("need count >= 1 and d >= 1")
-    return count ** (2 * d) <= (2 ** (d + 1) - 1) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +140,10 @@ def conjecture_holds_exact(count: int, n: int, d: int) -> bool:
 
 
 def kdd_weighted_bound(n: int, d: int, activity) -> BoundReport:
-    """(2(1+activity)^d - 1)^(n/2d): the conjectured weighted extremal value."""
+    """(2(1+activity)^d - 1)^(n/2d): the weighted extremal value.
+
+    Cleared form: value^(2d) <= (2(1+activity)^d - 1)^n.
+    """
     if d < 1:
         raise ValueError("need d >= 1")
     lam = Fraction(activity)
@@ -137,41 +152,18 @@ def kdd_weighted_bound(n: int, d: int, activity) -> BoundReport:
     base = 2 * (1 + lam) ** d - 1
     log2 = n * log2_fraction(base) / (2 * d)
     exact = base ** (n // (2 * d)) if n % (2 * d) == 0 else None
+    constants = {"n": n, "d": d, "activity": str(lam)}
     return BoundReport(
-        "conjecture_weighted",
-        log2,
-        exact_value=exact,
-        constants={"n": n, "d": d, "activity": str(lam)},
+        "conjecture_weighted", log2, 2 * d, base**n, exact_value=exact, constants=constants
     )
-
-
-def weighted_conjecture_holds_exact(value, n: int, d: int, activity) -> bool:
-    """Rational check value^(2d) <= (2(1+activity)^d - 1)^n."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
-    return Fraction(value) ** (2 * d) <= (2 * (1 + lam) ** d - 1) ** n
 
 
 def weighted_kahn_bound(n: int, d: int, activity) -> BoundReport:
-    """(1+activity)^(n/2) * 2^(n/d); exact rational when both exponents are integral."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
-    log2 = (n / 2) * log2_fraction(1 + lam) + n / d
-    exact = None
-    if n % 2 == 0 and n % d == 0:
-        exact = (1 + lam) ** (n // 2) * Fraction(2) ** (n // d)
-    return BoundReport(
-        "weighted_kahn",
-        log2,
-        exact_value=exact,
-        constants={"n": n, "d": d, "activity": str(lam)},
-    )
+    """(1+activity)^(n/2) * 2^(n/d): the independent-first bound at alpha = 0."""
+    report = independent_first_bound(n, d, 0, activity)
+    report.name = "weighted_kahn"
+    del report.constants["alpha"]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +203,9 @@ def order_bound(g: Graph, order, activity) -> BoundReport:
     """Total-order bound: prod_v (2(1+activity)^(p(v)) - 1)^(1/d).
 
     p(v) counts the neighbors of v that precede it in the order; the p-values
-    always sum to the edge count. The report's exact value is the d-th power
-    of the bound (the plain product), which is rational, so the dominance
-    check P^d <= product runs in exact arithmetic; the bound's own log2 is in
-    constants["bound_log2"].
+    always sum to the edge count. The cleared form is P^d <= product, and the
+    product (the d-th power of the bound, which is rational) is the report's
+    exact value; the bound's own log2 is in constants["bound_log2"].
     """
     d = g.regular_degree()
     if d is None or d < 1:
@@ -227,21 +218,17 @@ def order_bound(g: Graph, order, activity) -> BoundReport:
         raise ValueError("activity must be positive")
     product = order_product(order_histogram(g, perm, d), lam, g.edge_count())
     log2_product = log2_fraction(product)
+    constants = {"n": g.n, "d": d, "activity": str(lam), "bound_log2": log2_product / d}
     return BoundReport(
-        "order_bound",
-        log2_product,
-        exact_value=product,
-        constants={
-            "n": g.n,
-            "d": d,
-            "activity": str(lam),
-            "bound_log2": log2_product / d,
-        },
+        "order_bound", log2_product, d, product, exact_value=product, constants=constants
     )
 
 
 def independent_first_bound(n: int, d: int, alpha: int, activity) -> BoundReport:
-    """(1+activity)^(n/2) * 2^((n-alpha)/d), from orders listing an independent set first."""
+    """(1+activity)^(n/2) * 2^((n-alpha)/d), from orders listing an independent set first.
+
+    Cleared form: value^(2d) <= (1+activity)^(nd) * 2^(2(n-alpha)).
+    """
     if d < 1:
         raise ValueError("need d >= 1")
     if not 0 <= alpha <= n / 2:
@@ -253,28 +240,11 @@ def independent_first_bound(n: int, d: int, alpha: int, activity) -> BoundReport
     exact = None
     if n % 2 == 0 and (n - alpha) % d == 0:
         exact = (1 + lam) ** (n // 2) * Fraction(2) ** ((n - alpha) // d)
+    cleared = (1 + lam) ** (n * d) * 2 ** (2 * (n - alpha))
+    constants = {"n": n, "d": d, "alpha": alpha, "activity": str(lam)}
     return BoundReport(
-        "independent_first",
-        log2,
-        exact_value=exact,
-        constants={"n": n, "d": d, "alpha": alpha, "activity": str(lam)},
+        "independent_first", log2, 2 * d, cleared, exact_value=exact, constants=constants
     )
-
-
-def independent_first_holds_exact(value, n: int, d: int, alpha: int, activity) -> bool:
-    """Rational check value^(2d) <= (1+activity)^(nd) * 2^(2(n-alpha)).
-
-    Raising to the 2d-th power clears both fractional exponents, so the
-    comparison is exact for rational activity.
-    """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if not 0 <= alpha <= n / 2:
-        raise ValueError("alpha above n/2 is impossible for a regular graph")
-    lam = Fraction(activity)
-    lhs = Fraction(value) ** (2 * d)
-    rhs = (1 + lam) ** (n * d) * Fraction(2) ** (2 * (n - alpha))
-    return lhs <= rhs
 
 
 # ---------------------------------------------------------------------------
@@ -291,35 +261,31 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
-def fixed_size_bound(n: int, d: int, t: int) -> BoundReport:
-    """exp2{(n/2)(H(2t/n) + 2/d)}."""
-    if d < 1 or n < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if not 0 <= 2 * t <= n:
-        raise ValueError("need 0 <= t <= n/2 for the entropy argument")
-    log2 = (n / 2) * (binary_entropy(2 * t / n) + 2 / d)
-    return BoundReport("fixed_size", log2, constants={"n": n, "d": d, "t": t})
-
-
 def fixed_size_rhs(n: int, d: int) -> int:
-    """n^(n*d) * 2^(2n), the side of `fixed_size_holds_exact` shared by every t."""
+    """n^(n*d) * 2^(2n): the cleared right side of `fixed_size_bound`, shared by every t."""
     return n ** (n * d) << (2 * n)
 
 
-def fixed_size_holds_exact(count: int, n: int, d: int, t: int, rhs: int) -> bool:
-    """Integer check count <= fixed_size_bound(n, d, t) (general form).
+def fixed_size_bound(n: int, d: int, t: int, cleared: int | None = None) -> BoundReport:
+    """exp2{(n/2)(H(2t/n) + 2/d)}.
 
-    (n/2)H(2t/n) = (n/2)log2(n) - t*log2(2t) - ((n-2t)/2)log2(n-2t), so raising
-    both sides to the power 2d clears every fractional exponent:
+    (n/2)H(2t/n) = (n/2)log2(n) - t*log2(2t) - ((n-2t)/2)log2(n-2t), so the
+    power 2d clears every fractional exponent:
     count^(2d) * (2t)^(2td) * (n-2t)^((n-2t)d) <= n^(nd) * 2^(2n), with
-    0^0 = 1. `rhs` is `fixed_size_rhs(n, d)`.
+    0^0 = 1. Pass `cleared = fixed_size_rhs(n, d)` to compute the right side
+    once for every t of a graph.
     """
     if d < 1 or n < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if not 0 <= 2 * t <= n:
         raise ValueError("need 0 <= t <= n/2 for the entropy argument")
+    log2 = (n / 2) * (binary_entropy(2 * t / n) + 2 / d)
     rest = n - 2 * t
-    return count ** (2 * d) * (2 * t) ** (2 * t * d) * rest ** (rest * d) <= rhs
+    if cleared is None:
+        cleared = fixed_size_rhs(n, d)
+    scale = (2 * t) ** (2 * t * d) * rest ** (rest * d)
+    constants = {"n": n, "d": d, "t": t}
+    return BoundReport("fixed_size", log2, 2 * d, cleared, scale, constants=constants)
 
 
 def kdd_exponent_expansion(d: int) -> tuple[float, float]:

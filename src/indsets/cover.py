@@ -209,7 +209,7 @@ def cover_count_bound(n: int, d: int, alpha: int, activity, phi: int) -> BoundRe
 
     The binomial prefactor counts seed choices, the power term bounds the
     envelope subgraph through its independence number; both are rational for
-    rational activity.
+    rational activity, so the cleared form is value <= the bound itself.
     """
     if not 0 < phi < d <= n:
         raise ValueError("need 0 < phi < d <= n")
@@ -221,15 +221,7 @@ def cover_count_bound(n: int, d: int, alpha: int, activity, phi: int) -> BoundRe
     seeds = sum(comb(n, t) for t in range(min(n, n // phi) + 1))
     power = (1 + lam * n * d / ((2 * d - phi) * alpha)) ** alpha
     exact = seeds * power
+    constants = {"n": n, "d": d, "alpha": alpha, "activity": str(lam), "phi": phi}
     return BoundReport(
-        "cover_count",
-        log2_fraction(exact),
-        exact_value=exact,
-        constants={
-            "n": n,
-            "d": d,
-            "alpha": alpha,
-            "activity": str(lam),
-            "phi": phi,
-        },
+        "cover_count", log2_fraction(exact), 1, exact, exact_value=exact, constants=constants
     )

@@ -214,31 +214,21 @@ class GraphFacts:
             self.phi = phi if 0 < phi < d else None
 
 
-def _judged(report: bd.BoundReport, value, value_log2: float, holds: bool | None = None):
-    """`report` with margin log2(bound) - log2(value) and an exact verdict: `holds`
-    (the row's own predicate) when given, else value <= bound if the bound is rational."""
-    report.margin_log2 = report.log2_value - value_log2
-    if holds is None and report.exact_value is not None:
-        holds = value <= report.exact_value
-    report.holds_exact = holds
-    return report
+def _per_activity(f: GraphFacts, bound: Callable[[Fraction], bd.BoundReport]):
+    """bound(lam) judged against P(lam), for each activity of the run."""
+    return [bound(lam).judge(value, value_log2) for lam, value, value_log2 in f.evaluations]
 
 
 def alekseev_weighted(f: GraphFacts) -> list[bd.BoundReport]:
     """P(lam) <= (1 + lam*n/alpha)^alpha per activity; needs n >= 1."""
     n, alpha = f.stats.n, f.stats.alpha
-    return [
-        _judged(bd.alekseev_weighted_bound(n, alpha, lam), value, value_log2)
-        for lam, value, value_log2 in f.evaluations
-    ]
+    return _per_activity(f, lambda lam: bd.alekseev_weighted_bound(n, alpha, lam))
 
 
 def conjecture_counts(f: GraphFacts) -> list[bd.BoundReport]:
     """P(1)^(2d) <= (2^(d+1) - 1)^n; marks equality. Needs d >= 1."""
-    n, d = f.stats.n, f.stats.d
-    holds = bd.conjecture_holds_exact(f.count, n, d)
-    report = _judged(bd.conjecture_bound(n, d), f.count, f.count_log2, holds)
-    if f.count ** (2 * d) == (2 ** (d + 1) - 1) ** n:
+    report = bd.conjecture_bound(f.stats.n, f.stats.d).judge(f.count, f.count_log2)
+    if report.tight:
         report.constants["equality"] = True
     return [report]
 
@@ -246,33 +236,23 @@ def conjecture_counts(f: GraphFacts) -> list[bd.BoundReport]:
 def conjecture_weighted(f: GraphFacts) -> list[bd.BoundReport]:
     """P(lam)^(2d) <= (2(1+lam)^d - 1)^n per activity; needs d >= 1."""
     n, d = f.stats.n, f.stats.d
-    reports = []
-    for lam, value, value_log2 in f.evaluations:
-        holds = bd.weighted_conjecture_holds_exact(value, n, d, lam)
-        reports.append(_judged(bd.kdd_weighted_bound(n, d, lam), value, value_log2, holds))
-    return reports
+    return _per_activity(f, lambda lam: bd.kdd_weighted_bound(n, d, lam))
 
 
 def independent_first(f: GraphFacts) -> list[bd.BoundReport]:
     """P(lam) <= (1+lam)^(n/2) 2^((n-alpha)/d) per activity; needs d >= 1, 2 alpha <= n."""
     n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
-    reports = []
-    for lam, value, value_log2 in f.evaluations:
-        bound = bd.independent_first_bound(n, d, alpha, lam)
-        holds = bd.independent_first_holds_exact(value, n, d, alpha, lam)
-        reports.append(_judged(bound, value, value_log2, holds))
-    return reports
+    return _per_activity(f, lambda lam: bd.independent_first_bound(n, d, alpha, lam))
 
 
 def fixed_size(f: GraphFacts) -> list[bd.BoundReport]:
     """i_t <= exp2{(n/2)(H(2t/n) + 2/d)} for each coefficient t; needs d >= 1."""
     n, d = f.stats.n, f.stats.d
     rhs = bd.fixed_size_rhs(n, d)
-    reports = []
-    for t, count in enumerate(f.poly.coeffs):
-        holds = bd.fixed_size_holds_exact(count, n, d, t, rhs)
-        reports.append(_judged(bd.fixed_size_bound(n, d, t), count, f.coeffs_log2[t], holds))
-    return reports
+    return [
+        bd.fixed_size_bound(n, d, t, rhs).judge(count, f.coeffs_log2[t])
+        for t, count in enumerate(f.poly.coeffs)
+    ]
 
 
 def cover_count(f: GraphFacts) -> list[bd.BoundReport]:
@@ -280,10 +260,7 @@ def cover_count(f: GraphFacts) -> list[bd.BoundReport]:
     if f.phi is None:
         return []
     n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
-    return [
-        _judged(cv.cover_count_bound(n, d, alpha, lam, f.phi), value, value_log2)
-        for lam, value, value_log2 in f.evaluations
-    ]
+    return _per_activity(f, lambda lam: cv.cover_count_bound(n, d, alpha, lam, f.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +326,10 @@ def _alekseev_weighted(c: Check, f: GraphFacts) -> CheckResult:
     if result.status == "fail":
         return result
     expect = is_union_of_equal_cliques(f.g)
-    for (lam, value, _), rep in zip(f.evaluations, reports):
-        equality = value == rep.exact_value
-        if equality != expect:
-            witness = {"activity": str(lam), "equality": equality, "union_of_equal_cliques": expect}
-            return c.result(False, witness)
+    for (lam, _, _), rep in zip(f.evaluations, reports):
+        if rep.tight != expect:
+            witness = {"activity": str(lam), "equality": rep.tight}
+            return c.result(False, {**witness, "union_of_equal_cliques": expect})
     return result
 
 
@@ -715,35 +691,28 @@ def poly_summary(g: Graph, cfg: RunConfig) -> dict:
 
 
 def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.BoundReport], list[str]]:
-    """Drive every bound evaluator applicable to one graph.
+    """Drive every bound evaluator applicable to one graph; each row is judged.
 
     Returns (stats, reports, notices); regular-only bounds are skipped with a
     notice on irregular input, and the cover rows with a notice when d < 2
-    or cfg.phi lies outside (0, d). Every row carries an exact verdict except
-    `kdd_exponent_expansion`, a constant of d. Kahn's bound and its weighted
-    form are decided as the independent-first bound at alpha = 0.
+    or cfg.phi lies outside (0, d).
     """
     f = GraphFacts("", g, cfg, graph_stats(g), independence_polynomial(g))
     n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
     if n < 1:
         return f.stats, [], ["empty graph: nothing to bound"]
-    reports = [_judged(bd.alekseev_bound(n, alpha), f.count, f.count_log2)]
+    reports = [bd.alekseev_bound(n, alpha).judge(f.count, f.count_log2)]
     reports += alekseev_weighted(f)
     if d is None or d < 1:
         notice = "graph is not d-regular with d >= 1: regular-only bounds skipped"
         return f.stats, reports, [notice]
 
-    holds = bd.independent_first_holds_exact(f.count, n, d, 0, 1)
-    reports.append(_judged(bd.kahn_bound(n, d), f.count, f.count_log2, holds))
+    reports.append(bd.kahn_bound(n, d).judge(f.count, f.count_log2))
     reports += conjecture_counts(f)
-    weighted, first = conjecture_weighted(f), independent_first(f)
-    for i, (lam, value, value_log2) in enumerate(f.evaluations):
-        order = bd.order_bound(g, range(n), lam)
-        order.holds_exact = value**d <= order.exact_value
-        order.margin_log2 = order.constants["bound_log2"] - value_log2
-        holds = bd.independent_first_holds_exact(value, n, d, 0, lam)
-        kahn = _judged(bd.weighted_kahn_bound(n, d, lam), value, value_log2, holds)
-        reports += [weighted[i], kahn, first[i], order]
+    kahn = _per_activity(f, lambda lam: bd.weighted_kahn_bound(n, d, lam))
+    order = _per_activity(f, lambda lam: bd.order_bound(g, range(n), lam))
+    for row in zip(conjecture_weighted(f), kahn, independent_first(f), order):
+        reports += row
     reports += fixed_size(f)
 
     if d < 2:
@@ -754,7 +723,7 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     reports += cover_count(f)
     exact, expansion = bd.kdd_exponent_expansion(d)
     constants = {"d": d, "exact": exact, "expansion": expansion}
-    reports.append(bd.BoundReport("kdd_exponent_expansion", exact, constants=constants))
+    reports.append(bd.BoundReport("kdd_exponent_expansion", exact, 1, None, constants=constants))
     return f.stats, reports, notices
 
 

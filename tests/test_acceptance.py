@@ -13,10 +13,11 @@ import time
 from fractions import Fraction
 
 from indsets.bounds import (
-    conjecture_holds_exact,
+    conjecture_bound,
     fixed_size_bound,
-    independent_first_holds_exact,
+    independent_first_bound,
     kdd_exponent_expansion,
+    log2_fraction,
     order_bound,
 )
 from indsets.cli import main
@@ -47,6 +48,10 @@ def _criterion(label, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"[{'PASS' if ok else 'FAIL'}] {label}{suffix}")
     assert ok, f"{label}{suffix}"
+
+
+def _holds(report, value):
+    return report.judge(value, log2_fraction(Fraction(value))).holds_exact
 
 
 def _random_graph(n, p, rng):
@@ -134,7 +139,7 @@ def test_criterion_3_conjecture_certification():
                 expected = poly_product(expected, brute_force_polynomial(gen_cycle(part)))
             poly = independence_polynomial(g)
             assert poly == expected
-            assert conjecture_holds_exact(poly.total(), n, 2)
+            assert _holds(conjecture_bound(n, 2), poly.total())
             checked += 1
 
     # 1000 seeded random d-regular graphs for each d in {3, 4, 5}, n <= 20.
@@ -145,14 +150,14 @@ def test_criterion_3_conjecture_certification():
             n = rng.choice(allowed)
             g = gen_random_regular(n, d, rng.randrange(10 ** 9))
             total = independence_polynomial(g).total()
-            assert conjecture_holds_exact(total, n, d)
+            assert _holds(conjecture_bound(n, d), total)
             checked += 1
 
     # Complete graphs K_{d+1} for d <= 10 (i = d + 2).
     for d in range(1, 11):
         total = independence_polynomial(gen_complete(d + 1)).total()
         assert total == d + 2
-        assert conjecture_holds_exact(total, d + 1, d)
+        assert _holds(conjecture_bound(d + 1, d), total)
         checked += 1
 
     elapsed = time.monotonic() - start
@@ -262,7 +267,7 @@ def test_criterion_7_independent_first_branch():
         alpha = max_independent_set(g).bit_count()
         poly = independence_polynomial(g)
         for lam in LAMBDAS:
-            assert independent_first_holds_exact(poly.evaluate(lam), g.n, d, alpha, lam)
+            assert _holds(independent_first_bound(g.n, d, alpha, lam), poly.evaluate(lam))
     _criterion(
         "criterion 7: independent-first bound dominates exactly on the regular corpus",
         True,

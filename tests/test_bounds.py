@@ -13,24 +13,25 @@ from indsets.bounds import (
     alekseev_weighted_bound,
     binary_entropy,
     conjecture_bound,
-    conjecture_holds_exact,
     fixed_size_bound,
-    fixed_size_holds_exact,
     fixed_size_rhs,
     independent_first_bound,
-    independent_first_holds_exact,
     kahn_bound,
     kdd_exponent_expansion,
     kdd_weighted_bound,
     log2_fraction,
     order_bound,
-    weighted_conjecture_holds_exact,
     weighted_kahn_bound,
 )
 from indsets.graphs import build_graph, gen_complete_bipartite, gen_cycle
 from indsets.polynomial import count_independent_sets, independence_polynomial
 
 HALF = Fraction(1, 2)
+
+
+def holds(report, value):
+    """report's exact verdict on value, through its cleared form."""
+    return report.judge(value, log2_fraction(Fraction(value))).holds_exact
 
 
 def test_alekseev_examples():
@@ -71,11 +72,13 @@ def test_kahn_examples():
 
 def test_conjecture_exact_checks():
     assert 11 ** 4 == 14641 <= 16807 == 7 ** 5
-    assert conjecture_holds_exact(11, 5, 2)
-    assert conjecture_holds_exact(15, 6, 3)
+    assert holds(conjecture_bound(5, 2), 11)
+    assert holds(conjecture_bound(6, 3), 15)
     assert 15 ** 6 == (2 ** 4 - 1) ** 6  # equality on K_{3,3}
-    assert conjecture_holds_exact(76, 10, 3)
-    assert not conjecture_holds_exact(2 ** 6, 5, 2)  # trivial upper bound is above
+    assert conjecture_bound(6, 3).judge(15, math.log2(15)).tight
+    assert not conjecture_bound(5, 2).judge(11, math.log2(11)).tight
+    assert holds(conjecture_bound(10, 3), 76)
+    assert not holds(conjecture_bound(5, 2), 2 ** 6)  # trivial upper bound is above
 
 
 def test_weighted_conjecture_checks():
@@ -84,13 +87,14 @@ def test_weighted_conjecture_checks():
             value = independence_polynomial(gen_complete_bipartite(d)).evaluate(lam)
             base = 2 * (1 + lam) ** d - 1
             assert value == base
-            assert value ** (2 * d) == base ** (2 * d)  # equality case
-            assert weighted_conjecture_holds_exact(value, 2 * d, d, lam)
+            report = kdd_weighted_bound(2 * d, d, lam).judge(value, log2_fraction(value))
+            assert report.holds_exact and report.tight  # equality case
     # C_5 at activity 1 reduces to the counting check.
-    assert weighted_conjecture_holds_exact(11, 5, 2, 1) == conjecture_holds_exact(11, 5, 2)
+    assert kdd_weighted_bound(5, 2, 1).cleared == conjecture_bound(5, 2).cleared
+    assert holds(kdd_weighted_bound(5, 2, 1), 11) == holds(conjecture_bound(5, 2), 11)
     assert Fraction(19, 4) ** 4 == Fraction(130321, 256)
     assert Fraction(130321, 256) <= Fraction(16807, 32) == Fraction(7, 2) ** 5
-    assert weighted_conjecture_holds_exact(Fraction(19, 4), 5, 2, HALF)
+    assert holds(kdd_weighted_bound(5, 2, HALF), Fraction(19, 4))
 
 
 def test_weighted_kahn_examples():
@@ -149,8 +153,8 @@ def test_independent_first_examples():
 def test_independent_first_exact_check():
     p = independence_polynomial(gen_cycle(4))
     for lam in (HALF, Fraction(1), Fraction(2)):
-        assert independent_first_holds_exact(p.evaluate(lam), 4, 2, 2, lam)
-    assert not independent_first_holds_exact(10 ** 9, 4, 2, 2, 1)
+        assert holds(independent_first_bound(4, 2, 2, lam), p.evaluate(lam))
+    assert not holds(independent_first_bound(4, 2, 2, 1), 10 ** 9)
 
 
 def test_binary_entropy_values():
@@ -187,25 +191,34 @@ def test_fixed_size_dominates_petersen_coefficients():
         assert math.log2(poly.coefficient(t)) <= bound
 
 
+def largest_accepted(report) -> int:
+    """The largest count the report's cleared form accepts, found by bisection."""
+    lo, hi = 0, 1
+    while holds(report, hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(report, mid) else (lo, mid)
+    assert holds(report, lo) and not holds(report, lo + 1)
+    return lo
+
+
+def floor_root(base: int, num: int, den: int) -> int:
+    """floor(base^(num/den)), through 80-digit decimals (enough for the cases below)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        return int(decimal.Decimal(base) ** (decimal.Decimal(num) / den))
+
+
 @pytest.mark.parametrize(
     "n, d, t",
     [(10, 3, 0), (10, 3, 2), (10, 3, 5), (20, 4, 3), (28, 5, 7), (48, 5, 11), (64, 3, 16), (64, 7, 32)],
 )
 def test_fixed_size_exact_threshold(n, d, t):
-    # c is the largest count the integer predicate accepts, found by bisection.
-    rhs = fixed_size_rhs(n, d)
-
-    def holds(count):
-        return fixed_size_holds_exact(count, n, d, t, rhs)
-
-    lo, hi = 0, 1
-    while holds(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    c = lo
-    assert holds(c) and not holds(c + 1)
+    # c is the largest count the cleared form accepts, and the same with the
+    # right side passed in once per graph.
+    c = largest_accepted(fixed_size_bound(n, d, t))
+    assert c == largest_accepted(fixed_size_bound(n, d, t, fixed_size_rhs(n, d)))
     # c is floor(2^bound); compared with the float bound up to its rounding.
     bound_log2 = fixed_size_bound(n, d, t).log2_value
     tol = 1e-12 * max(1.0, bound_log2)
@@ -217,35 +230,34 @@ def test_fixed_size_exact_threshold(n, d, t):
     [(6, 1), (5, 2), (10, 3), (12, 3), (14, 4), (20, 4), (28, 5), (64, 3), (64, 7)],
 )
 def test_kahn_exact_threshold(n, d):
-    # Kahn's count bound is the independent-first predicate at alpha = 0 and
-    # activity 1: count^(2d) <= 2^(n(d+2)). Bisection finds the largest
-    # count c it accepts, which must be floor(2^(n(d+2)/(2d))); 2d divides
-    # n(d+2) only for (6, 1), (5, 2), (12, 3) and (20, 4).
-    def holds(count):
-        return independent_first_holds_exact(count, n, d, 0, 1)
-
-    lo, hi = 0, 1
-    while holds(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    c = lo
-    assert holds(c) and not holds(c + 1)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 80
-        root = decimal.Decimal(2) ** (decimal.Decimal(n * (d + 2)) / (2 * d))
-    assert c == int(root)
+    # Kahn's count bound clears to count^(2d) <= 2^(n(d+2)). The largest
+    # count c it accepts must be floor(2^(n(d+2)/(2d))); 2d divides n(d+2)
+    # only for (6, 1), (5, 2), (12, 3) and (20, 4).
+    c = largest_accepted(kahn_bound(n, d))
+    assert c == floor_root(2, n * (d + 2), 2 * d)
     exponent, rest = divmod(n * (d + 2), 2 * d)
     if rest == 0:
         assert c == 2**exponent == kahn_bound(n, d).exact_value
 
 
+@pytest.mark.parametrize(
+    "n, d",
+    [(5, 2), (6, 3), (10, 3), (12, 3), (14, 4), (20, 4), (28, 5), (64, 3), (64, 7)],
+)
+def test_conjecture_exact_threshold(n, d):
+    # The extremal count clears to count^(2d) <= (2^(d+1)-1)^n: the largest
+    # count accepted is floor((2^(d+1)-1)^(n/(2d))), exact when 2d divides n.
+    c = largest_accepted(conjecture_bound(n, d))
+    assert c == floor_root(2 ** (d + 1) - 1, n, 2 * d)
+    if n % (2 * d) == 0:
+        assert c == conjecture_bound(n, d).exact_value
+
+
 def test_fixed_size_exact_rejects_bad_input():
     with pytest.raises(ValueError):
-        fixed_size_holds_exact(1, 10, 3, 6, fixed_size_rhs(10, 3))
+        fixed_size_bound(10, 3, 6)  # t > n/2
     with pytest.raises(ValueError):
-        fixed_size_holds_exact(1, 10, 0, 2, 1)
+        fixed_size_bound(10, 0, 2)  # d = 0
 
 
 def test_kdd_exponent_expansion():
@@ -277,8 +289,7 @@ def test_reports_log2_matches_exact_value():
 
 
 def test_report_serialization_shape():
-    rep = kahn_bound(5, 2)
-    rep.holds_exact = True
+    rep = kahn_bound(5, 2).judge(11, math.log2(11))
     doc = rep.to_dict()
     assert set(doc) == {"name", "log2_value", "exact_value", "holds_exact", "constants"}
     assert doc["exact_value"] == "32"

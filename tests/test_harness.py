@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from indsets import bounds as bd
 from indsets import cli, harness
 from indsets.cli import main
 from indsets.graphs import (
@@ -323,6 +324,26 @@ def test_every_bounds_row_has_a_true_verdict(spec, capsys):
             assert "holds_exact" not in rep and row[3] == ""
         else:
             assert rep["holds_exact"] is True and row[3] == "true", rep["name"]
+
+
+def _log2(x) -> float:
+    return bd.log2_fraction(Fraction(x))
+
+
+@pytest.mark.parametrize("spec", ROW_VERDICT_SPECS)
+def test_every_cleared_form_is_its_bound_raised_to_the_power(spec):
+    # value <= bound iff value^power * scale <= cleared, so power * log2(bound)
+    # must equal log2(cleared) - log2(scale) for every row.
+    lambdas = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3, 7))
+    ((_, g),) = load_inputs([spec])
+    _, reports, _ = bounds_for_graph(g, RunConfig(lambdas=lambdas))
+    assert reports
+    for rep in reports:
+        if rep.name == "kdd_exponent_expansion":
+            continue
+        bound_log2 = rep.constants.get("bound_log2", rep.log2_value)
+        cleared_log2 = _log2(rep.cleared) - _log2(rep.scale)
+        assert rep.power * bound_log2 == pytest.approx(cleared_log2, rel=1e-9), rep.to_dict()
 
 
 @pytest.mark.parametrize("flag", ["--const-C", "--const-c", "--const-Clambda", "--const-calpha"])
