@@ -287,15 +287,3 @@ def fixed_size_bound(n: int, d: int, t: int, cleared: int | None = None) -> Boun
     constants = {"n": n, "d": d, "t": t}
     return BoundReport("fixed_size", log2, 2 * d, cleared, scale, constants=constants)
 
-
-def kdd_exponent_expansion(d: int) -> tuple[float, float]:
-    """Per-(n/2) exponent of the extremal count and its two-term expansion.
-
-    Returns ((1/d)*log2(2^(d+1)-1), 1 + 1/d - 1/((2 ln 2) d 2^d)); the gap
-    between the two shrinks rapidly with d but no rate is asserted.
-    """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    exact = math.log2(2 ** (d + 1) - 1) / d
-    expansion = 1 + 1 / d - 1 / ((2 * math.log(2)) * d * 2 ** d)
-    return exact, expansion

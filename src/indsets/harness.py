@@ -720,11 +720,7 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     notices = []
     if f.phi is None:
         notices.append(f"phi {cfg.phi} outside (0, d): cover_count rows skipped")
-    reports += cover_count(f)
-    exact, expansion = bd.kdd_exponent_expansion(d)
-    constants = {"d": d, "exact": exact, "expansion": expansion}
-    reports.append(bd.BoundReport("kdd_exponent_expansion", exact, 1, None, constants=constants))
-    return f.stats, reports, notices
+    return f.stats, reports + cover_count(f), notices
 
 
 def cover_summary(g: Graph, independent_set: int, phi: int | None, cfg: RunConfig) -> dict:

@@ -16,7 +16,6 @@ from indsets.bounds import (
     conjecture_bound,
     fixed_size_bound,
     independent_first_bound,
-    kdd_exponent_expansion,
     log2_fraction,
     order_bound,
 )
@@ -272,18 +271,6 @@ def test_criterion_7_independent_first_branch():
         "criterion 7: independent-first bound dominates exactly on the regular corpus",
         True,
         f"{len(corpus)} graphs x 3 activities",
-    )
-
-
-def test_criterion_8_exponent_expansion():
-    exact10, expansion10 = kdd_exponent_expansion(10)
-    exact20, expansion20 = kdd_exponent_expansion(20)
-    ok = abs(exact10 - expansion10) <= 1e-4 and abs(exact20 - expansion20) <= 1e-6
-    _criterion(
-        "criterion 8: extremal exponent expansion within tolerance",
-        ok,
-        f"d=10 gap {abs(exact10 - expansion10):.2e} <= 1e-4, "
-        f"d=20 gap {abs(exact20 - expansion20):.2e} <= 1e-6",
     )
 
 

@@ -17,7 +17,6 @@ from indsets.bounds import (
     fixed_size_rhs,
     independent_first_bound,
     kahn_bound,
-    kdd_exponent_expansion,
     kdd_weighted_bound,
     log2_fraction,
     order_bound,
@@ -258,18 +257,6 @@ def test_fixed_size_exact_rejects_bad_input():
         fixed_size_bound(10, 3, 6)  # t > n/2
     with pytest.raises(ValueError):
         fixed_size_bound(10, 0, 2)  # d = 0
-
-
-def test_kdd_exponent_expansion():
-    exact, _ = kdd_exponent_expansion(1)
-    assert exact == pytest.approx(math.log2(3), rel=1e-12)
-    exact, expansion = kdd_exponent_expansion(10)
-    assert abs(exact - expansion) <= 1e-4
-    exact, expansion = kdd_exponent_expansion(20)
-    assert abs(exact - expansion) <= 1e-6
-    for d in range(1, 41):
-        exact, _ = kdd_exponent_expansion(d)
-        assert exact < 1 + 1 / d
 
 
 def test_reports_log2_matches_exact_value():

@@ -320,10 +320,7 @@ def test_every_bounds_row_has_a_true_verdict(spec, capsys):
     assert [row[0] for row in rows] == [rep["name"] for rep in reports]
     assert reports
     for rep, row in zip(reports, rows):
-        if rep["name"] == "kdd_exponent_expansion":
-            assert "holds_exact" not in rep and row[3] == ""
-        else:
-            assert rep["holds_exact"] is True and row[3] == "true", rep["name"]
+        assert rep["holds_exact"] is True and row[3] == "true", rep["name"]
 
 
 def _log2(x) -> float:
@@ -339,8 +336,6 @@ def test_every_cleared_form_is_its_bound_raised_to_the_power(spec):
     _, reports, _ = bounds_for_graph(g, RunConfig(lambdas=lambdas))
     assert reports
     for rep in reports:
-        if rep.name == "kdd_exponent_expansion":
-            continue
         bound_log2 = rep.constants.get("bound_log2", rep.log2_value)
         cleared_log2 = _log2(rep.cleared) - _log2(rep.scale)
         assert rep.power * bound_log2 == pytest.approx(cleared_log2, rel=1e-9), rep.to_dict()
