@@ -28,7 +28,9 @@ gained `holds_exact`, and the `verify` config lost `C`, `c`, `c_lambda` and
 `c_alpha`, with nothing else changed. When `gen_random_regular` became a
 sequential pairing, `gen:rr:20:3:7` and `gen:rr:20:4:8` became other graphs,
 so the eight `rr20d3` and `rr20d4` files were rewritten and every other file
-kept its bytes.
+kept its bytes. When `kdd_exponent_expansion` was deleted, each of the six
+regular graphs' `bounds` files lost that row (9 JSON lines, 1 CSV row), with
+nothing else changed.
 """
 
 import contextlib
