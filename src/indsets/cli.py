@@ -46,7 +46,7 @@ def _config_from_args(args) -> RunConfig:
     kwargs = {name: given[name] for name in names if name in given}
     if given.get("lambdas"):
         kwargs["lambdas"] = tuple(Fraction(s) for s in given["lambdas"])
-    if given.get("checks"):
+    if given.get("checks") is not None:
         kwargs["checks"] = tuple(s for s in given["checks"].split(",") if s)
     return RunConfig(**kwargs)
 

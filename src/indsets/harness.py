@@ -76,8 +76,14 @@ class RunConfig:
             raise ValueError("activities must be positive")
         if self.cap > VERTEX_CAPACITY:
             raise ValueError(f"cap exceeds vertex capacity {VERTEX_CAPACITY}")
+        if self.cap < 0:
+            raise ValueError(f"cap must be nonnegative, got {self.cap}")
         if self.orders < 0:
             raise ValueError("orders must be nonnegative")
+        if self.checks is not None and not self.checks:
+            raise ValueError(f"checks must name at least one check, got {self.checks!r}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def enabled_checks(self) -> list[str]:
         if self.checks is None:

@@ -662,6 +662,25 @@ def test_negative_orders_rejected(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--checks", ","], "checks must name at least one check, got ()"),
+        (["--checks", ""], "checks must name at least one check, got ()"),
+        (["--cap", "-1"], "cap must be nonnegative, got -1"),
+        (["--jobs", "-3"], "jobs must be at least 1, got -3"),
+        (["--jobs", "0"], "jobs must be at least 1, got 0"),
+    ],
+)
+def test_verify_rejects_vacuous_or_ignored_settings(flags, message, capsys):
+    # Each of these once ran zero checks, skipped every graph or ran serially,
+    # and exited 0.
+    assert main(["verify", "gen:cycle:5", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_bounds_for_graph_count_equality_is_exact():
     def conjecture_report(spec):
         _, reports, _ = bounds_for_graph(graph_from_spec(spec), RunConfig())
