@@ -53,7 +53,7 @@ class BoundReport:
 
     def judge(self, value, value_log2: float) -> BoundReport:
         """Decide value <= bound by the cleared form; margin is log2(bound) - value_log2."""
-        lhs = value**self.power
+        lhs = value if self.power == 1 else value**self.power
         if self.scale != 1:
             lhs *= self.scale
         self.holds_exact = lhs <= self.cleared
@@ -286,4 +286,3 @@ def fixed_size_bound(n: int, d: int, t: int, cleared: int | None = None) -> Boun
     scale = (2 * t) ** (2 * t * d) * rest ** (rest * d)
     constants = {"n": n, "d": d, "t": t}
     return BoundReport("fixed_size", log2, 2 * d, cleared, scale, constants=constants)
-
