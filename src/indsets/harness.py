@@ -72,6 +72,8 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if not self.lambdas:
+            raise ValueError("lambdas must name at least one activity")
         if any(lam <= 0 for lam in self.lambdas):
             raise ValueError("activities must be positive")
         if self.cap > VERTEX_CAPACITY:

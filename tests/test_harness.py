@@ -673,12 +673,19 @@ def test_negative_orders_rejected(capsys):
     ],
 )
 def test_verify_rejects_vacuous_or_ignored_settings(flags, message, capsys):
-    # Each of these once ran zero checks, skipped every graph or ran serially,
-    # and exited 0.
+    # Under any of these a run would certify nothing or ignore the value, so
+    # it must not exit 0.
     assert main(["verify", "gen:cycle:5", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_run_config_rejects_an_empty_activity_list():
+    # With no activity, the five per-activity checks would pass having
+    # compared nothing.
+    with pytest.raises(ValueError, match="lambdas must name at least one activity"):
+        RunConfig(lambdas=())
 
 
 def test_bounds_for_graph_count_equality_is_exact():
