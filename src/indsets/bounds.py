@@ -52,7 +52,8 @@ class BoundReport:
     constants: dict = field(default_factory=dict)
 
     def judge(self, value, value_log2: float) -> BoundReport:
-        """Decide value <= bound by the cleared form; margin is log2(bound) - value_log2."""
+        """Decide value <= bound by the cleared form, set the margin log2(bound) -
+        value_log2 and the equality flag, and return the report."""
         lhs = value if self.power == 1 else value**self.power
         if self.scale != 1:
             lhs *= self.scale
