@@ -73,7 +73,7 @@ def cmd_poly(args) -> int:
     graph_id, g = _single_graph(args.input)
     summary = harness.poly_summary(g, cfg)
     summary["graph_id"] = graph_id
-    _emit(json.dumps(summary, indent=2, sort_keys=True), args.out)
+    _emit(harness.indented_json(summary), args.out)
     return 0
 
 
@@ -109,7 +109,7 @@ def cmd_bounds(args) -> int:
             },
             "reports": [rep.to_dict() for rep in reports],
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+        _emit(harness.indented_json(doc), args.out)
     return 0
 
 
@@ -121,6 +121,9 @@ def cmd_verify(args) -> int:
     elapsed = time.monotonic() - start
     for line in harness.summary_lines(records):
         print(line)
+    if code == 3:
+        skipped = f"every check was skipped (graphs={len(records)})"
+        print(f"error: no check passed; {skipped}", file=sys.stderr)
     print(f"elapsed={elapsed:.2f}s", file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -154,7 +157,7 @@ def cmd_cover(args) -> int:
             raise GraphError(f"--set vertex {v} out of range 0..n-1 for n={g.n}")
     summary = harness.cover_summary(g, mask_of(vertices), args.phi, cfg)
     summary["graph_id"] = graph_id
-    _emit(json.dumps(summary, indent=2, sort_keys=True), args.out)
+    _emit(harness.indented_json(summary), args.out)
     return 0 if summary["verified"] else 1
 
 
@@ -175,7 +178,7 @@ def cmd_report(args) -> int:
         _emit(harness.records_to_csv(records), args.out)
     else:
         doc["records"] = harness.sort_records_for_report(records)
-        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+        _emit(harness.indented_json(doc), args.out)
     return 0
 
 

@@ -45,16 +45,17 @@ class CoverCertificate:
     independent_set: int
     trace: tuple[int, ...]
 
+    def to_dict(self) -> dict:
+        return {
+            "seed": mask_vertices(self.seed),
+            "envelope": mask_vertices(self.envelope),
+            "phi": self.phi,
+            "independent_set": mask_vertices(self.independent_set),
+            "trace": list(self.trace),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": mask_vertices(self.seed),
-                "envelope": mask_vertices(self.envelope),
-                "phi": self.phi,
-                "independent_set": mask_vertices(self.independent_set),
-                "trace": list(self.trace),
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str, n: int) -> "CoverCertificate":

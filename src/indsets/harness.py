@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import os
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import bounds as bd
 from . import cover as cv
@@ -350,44 +352,110 @@ def _conjecture_weighted(c: Check, f: GraphFacts) -> CheckResult:
     return c.fold(conjecture_weighted(f), lambda i, rep: _at(f, i))
 
 
+def _distinct_histograms(getrandbits, adj, n: int, d: int, count: int) -> dict:
+    """Draw `count` orders and map each distinct p-value histogram to its first order.
+
+    Each order is exactly `random.Random.sample(range(n), n)` on the
+    generator that owns `getrandbits`: for k = n, `sample` always takes its
+    pool branch, which draws position i below m = n - i with m.bit_length()
+    random bits, redrawn until below m (also at m = 1), and moves the last
+    pool entry into the vacancy. h[p] counts the vertices with p neighbours
+    earlier in the order, built in the same loop. The dict keeps first
+    appearance order.
+    """
+    firsts: dict[tuple[int, ...], list[int]] = {}
+    for _ in range(count):
+        pool = list(range(n))
+        order = []
+        hist = [0] * (d + 1)
+        seen = 0
+        for m in range(n, 0, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            v = pool[j]
+            pool[j] = pool[m - 1]
+            order.append(v)
+            hist[(adj[v] & seen).bit_count()] += 1
+            seen |= 1 << v
+        firsts.setdefault(tuple(hist), order)
+    return firsts
+
+
+# A product within a factor 1 + 2^-NEAR_BITS of an activity's smallest one
+# has its margin taken in floats; see _order_bound.
+NEAR_BITS = 30
+LOG2_SAFE_BITS = 1 << 20
+
+
 def _order_bound(c: Check, f: GraphFacts) -> CheckResult:
     """P(lam)^d <= prod_v (2(1+lam)^p(v) - 1) on cfg.orders random orders.
 
-    The product depends only on the order's histogram of p-values, so each
-    distinct (histogram, lam) pair is compared once; a repeat has the same
-    verdict and gap and cannot change the first failure or the minimum gap.
+    The product depends only on the order's histogram h of p-values, so each
+    distinct histogram is judged once, with its first order as the witness;
+    a repeat has the same verdict and gap and cannot change the first
+    failure or the minimum gap. Histograms are judged in first-appearance
+    order and activities in run order, as a loop over every (order, lam)
+    pair would meet them.
+
+    Verdict, in integers: for lam = a/b and f_p = 2(a+b)^p - b^p the product
+    is num / b^E with num = prod_p f_p^h_p (the p-values sum to the edge
+    count E), and with P(lam) = vn/vd the bound fails iff
+    vn^d * b^E > num * vd^d.
+
+    Margin: min over (histogram, lam) of log2_fraction(num / b^E) / d -
+    log2 P(lam), taken in floats only for each activity's numerators within
+    a factor 1 + 2^-NEAR_BITS of its smallest one. While every numerator and
+    b^E has at most LOG2_SAFE_BITS = 2^20 bits, math.log2 of either side of
+    the reduced fraction is within one ulp at 2^20 (2^-33) plus 2^-51 of the
+    truth, and the subtraction rounds once more (2^-34), so log2_fraction is
+    within 2^-31 of the true log2. A skipped numerator exceeds the smallest
+    by a factor above 1 + 2^-30, a log2 gap above 1.44 * 2^-30 > 2 * 2^-31,
+    so its float log2 is strictly larger; division by d and subtracting
+    log2 P(lam) are monotone in floats, so its gap is no smaller and the
+    minimum is the same float bit for bit. Past that size every numerator
+    gets a log2.
     """
-    cfg, n, d = f.cfg, f.stats.n, f.stats.d
+    cfg, n, d, edges = f.cfg, f.stats.n, f.stats.d, f.stats.edge_count
     if cfg.orders == 0:
         return c.skip("no orders requested")
-    rng = _rng(cfg, f.graph_id, "order_bound")
-    # Per activity, in a list: the value, its d-th power, its log2, and the
-    # histograms seen. A dict keyed by the activity would hash a Fraction,
-    # which is Python code, on every lookup.
+    getrandbits = _rng(cfg, f.graph_id, "order_bound").getrandbits
+    firsts = _distinct_histograms(getrandbits, f.g.adj, n, d, cfg.orders)
     per_lam = []
     for lam, value, value_log2 in f.evaluations:
-        per_lam.append((lam, value, value**d, value_log2, set()))
-    margin = None
-    for _ in range(cfg.orders):
-        order = rng.sample(range(n), n)
-        hist = bd.order_histogram(f.g, order, d)
-        for lam, value, power, value_log2, seen in per_lam:
-            if hist in seen:
-                continue
-            seen.add(hist)
-            product = bd.order_product(hist, lam, f.stats.edge_count)
-            if power > product:
+        a, b = lam.as_integer_ratio()
+        vn, vd = value.as_integer_ratio()
+        scale = b**edges
+        factors = [2 * (a + b) ** p - b**p for p in range(d + 1)]
+        per_lam.append((lam, value, value_log2, factors, scale, vn**d * scale, vd**d, []))
+    for hist, order in firsts.items():
+        for lam, value, _, factors, scale, lhs, vd_power, nums in per_lam:
+            num = 1
+            for p in range(1, d + 1):  # f_0 = 1
+                if hist[p]:
+                    num *= factors[p] ** hist[p]
+            if lhs > num * vd_power:
                 return c.result(
                     False,
                     {
                         "activity": str(lam),
                         "order": order,
                         "value": str(value),
-                        "product": str(product),
+                        "product": str(Fraction(num, scale)),
                     },
                 )
-            gap = bd.log2_fraction(product) / d - value_log2
-            margin = gap if margin is None else min(margin, gap)
+            nums.append(num)
+    margin = None
+    for _, _, value_log2, _, scale, _, _, nums in per_lam:
+        low, high = min(nums), max(nums)
+        cut = low + (low >> NEAR_BITS)
+        if max(high.bit_length(), scale.bit_length()) > LOG2_SAFE_BITS:
+            cut = high
+        for num in nums:
+            if num <= cut:
+                gap = bd.log2_fraction(Fraction(num, scale)) / d - value_log2
+                margin = gap if margin is None else min(margin, gap)
     return c.result(True, margin=margin)
 
 
@@ -413,7 +481,7 @@ def _cover_certificate(c: Check, f: GraphFacts) -> CheckResult:
     if ok:
         return c.result(True, {"phi": f.phi, "seed_size": cert.seed.bit_count()})
     return c.result(
-        False, {"phi": f.phi, "reason": reason, "certificate": json.loads(cert.to_json())}
+        False, {"phi": f.phi, "reason": reason, "certificate": cert.to_dict()}
     )
 
 
@@ -555,8 +623,10 @@ def _verify_worker(args: tuple[str, Graph, RunConfig]) -> VerificationRecord:
 def run_verify(pairs: list[tuple[str, Graph]], cfg: RunConfig) -> tuple[list[VerificationRecord], int]:
     """Verify a corpus; records come back in input order regardless of jobs.
 
-    Exit code: 0 all pass, 2 counterexample to a conjecture, 1 internal
-    check failure (a proved statement failed, i.e. a bug).
+    Exit code, first match wins: 1 internal check failure (a proved
+    statement failed, i.e. a bug), 2 counterexample to a conjecture, 3 no
+    check passed on any graph (every check skipped, or an empty corpus), 0
+    otherwise.
     """
     tasks = [(graph_id, g, cfg) for graph_id, g in pairs]
     if cfg.jobs > 1 and len(tasks) > 1:
@@ -568,7 +638,73 @@ def run_verify(pairs: list[tuple[str, Graph]], cfg: RunConfig) -> tuple[list[Ver
         return records, 1
     if any(r.counterexample for r in records):
         return records, 2
+    if not any(c.status == "pass" for r in records for c in r.checks):
+        return records, 3
     return records, 0
+
+
+def indented_json(obj) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), written directly.
+
+    With `indent` set, json runs its pure-Python encoder; this writer emits the
+    same text from one recursive pass over str-keyed dicts, lists, tuples,
+    str, bool, None, int and float. Any other key or value type (or nesting
+    too deep to recurse) hands the whole object to json.dumps, so errors and
+    unusual inputs behave as they do there.
+    """
+    out: list[str] = []
+    try:
+        _write_json(obj, out, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True)
+    return "".join(out)
+
+
+def _write_json(o, out: list[str], nl: str):
+    # Tests in the order json's encoder makes them: bool and None before int.
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if math.isfinite(o):
+            out.append(float.__repr__(o))
+        else:
+            out.append("NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        head = "[" + inner
+        for item in o:
+            out.append(head)
+            head = "," + inner
+            _write_json(item, out, inner)
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError("non-str key")
+            out.append(head)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            head = "," + inner
+            _write_json(o[key], out, inner)
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"no direct form for {type(o).__name__}")
 
 
 def report_json(records: list[VerificationRecord], cfg: RunConfig) -> str:
@@ -577,7 +713,7 @@ def report_json(records: list[VerificationRecord], cfg: RunConfig) -> str:
         "config": cfg.to_dict(),
         "records": [r.to_dict() for r in records],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return indented_json(doc)
 
 
 def summary_lines(records: list[VerificationRecord]) -> list[str]:
@@ -743,7 +879,7 @@ def cover_summary(g: Graph, independent_set: int, phi: int | None, cfg: RunConfi
     ok, reason = cv.verify_cover(g, cert)
     f = GraphFacts("", g, replace(cfg, phi=use_phi), graph_stats(g), independence_polynomial(g))
     return {
-        "certificate": json.loads(cert.to_json()),
+        "certificate": cert.to_dict(),
         "verified": ok,
         "reason": reason,
         "stats": {"n": f.stats.n, "d": f.stats.d, "alpha": f.stats.alpha},

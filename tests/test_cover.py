@@ -1,5 +1,6 @@
 """Seed/envelope cover construction, verification, and counting bounds."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -132,6 +133,8 @@ def test_certificate_json_round_trip():
     assert again == cert
     ok, reason = verify_cover(g, again)
     assert ok, reason
+    assert cert.to_json() == json.dumps(cert.to_dict())
+    assert cert.to_dict() == json.loads(cert.to_json())
 
 
 def test_random_triples_certify():

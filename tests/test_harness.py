@@ -5,9 +5,12 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indsets import bounds as bd
 from indsets import cli, harness
@@ -806,3 +809,125 @@ def test_row_checks_fail_at_the_first_false_row_with_their_witness():
     res = CHECKS["fixed_size"](facts)
     assert (res.status, res.holds_exact) == ("fail", False)
     assert (res.witness["t"], res.witness["count"]) == (4, "1000000")
+
+
+# ---------------------------------------------------------------------------
+# The indented JSON writer
+# ---------------------------------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/é \U0001f600')),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_indented_json_matches_json_dumps(obj):
+    assert harness.indented_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_indented_json_edge_values():
+    for obj in ({}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], {"\x00ÿ": ["\n", True, 1]}):
+        assert harness.indented_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_indented_json_falls_back_to_json_on_other_types(monkeypatch):
+    calls = []
+    dumps = json.dumps
+
+    def spy(obj, **kwargs):
+        calls.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(harness.json, "dumps", spy)
+    # A non-str key takes the fallback, which writes it as json does.
+    obj = {"a": [1, {2: "two", 3.5: None}]}
+    assert harness.indented_json(obj) == dumps(obj, indent=2, sort_keys=True)
+    assert calls == [obj]
+    # A value json cannot write raises json's own TypeError.
+    with pytest.raises(TypeError) as mine:
+        harness.indented_json({"x": [Fraction(1, 3)]})
+    with pytest.raises(TypeError) as theirs:
+        dumps({"x": [Fraction(1, 3)]}, indent=2, sort_keys=True)
+    assert str(mine.value) == str(theirs.value)
+    # So does a circular reference: json's ValueError, not a RecursionError.
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        harness.indented_json(loop)
+
+
+# ---------------------------------------------------------------------------
+# Exit 3: a run in which no check passed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "inputs, flags",
+    [
+        (["gen:rr:20:3:1"], ["--cap", "10"]),
+        (["gen:rr:20:3:1", "gen:petersen"], ["--checks", "conjecture_fixed_size"]),
+        ([], []),
+    ],
+    ids=["cap", "skipping-selection", "empty-corpus"],
+)
+def test_cli_verify_exit_3_when_no_check_passed(inputs, flags, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# nothing but a comment\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", *(inputs or [str(corpus)]), *flags, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    graphs = len(inputs)
+    assert captured.err.splitlines()[0] == (
+        f"error: no check passed; every check was skipped (graphs={graphs})"
+    )
+    assert captured.out.splitlines()[-1].startswith(f"graphs={graphs} checks_passed=0 ")
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == graphs
+    assert all(c["status"] == "skip" for rec in records for c in rec["checks"])
+
+
+def test_run_verify_failures_take_precedence_over_exit_3(monkeypatch):
+    pairs = load_inputs(["gen:petersen"])
+    cfg = RunConfig(checks=("alpha_le_half", "conjecture_counts"))
+    assert run_verify(pairs, cfg)[1] == 0
+    for name, code in (("alpha_le_half", 1), ("conjecture_counts", 2)):
+        check = CHECKS[name]
+        monkeypatch.setitem(CHECKS, name, lambda f, c=check: c.result(False))
+        assert run_verify(pairs, replace(cfg, checks=(name,)))[1] == code
+
+
+def test_cover_certificate_failure_witness_holds_the_certificate(monkeypatch):
+    built = []
+    build = harness.cv.build_cover
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness.cv, "build_cover", keep)
+    monkeypatch.setattr(harness.cv, "verify_cover", lambda g, cert: (False, "rejected"))
+    rec = verify_graph("p", gen_petersen(), RunConfig(checks=("cover_certificate",)))
+    (check,) = rec.checks
+    assert check.status == "fail"
+    assert check.witness == {
+        "phi": built[0].phi,
+        "reason": "rejected",
+        "certificate": json.loads(built[0].to_json()),
+    }

@@ -3,8 +3,15 @@
 The ordering-bound product, polynomial evaluation and the `order_bound`
 check each have a straightforward rational form: a per-vertex product, a
 Horner loop over Fractions, and a loop over every (order, activity) pair with
-no deduplication. Those forms are kept here, test-only, as oracles; the
-package must agree with them exactly, down to the last bit of every float.
+no deduplication, each order drawn by `random.Random.sample` and each
+verdict a Fraction comparison. Those forms are kept here, test-only, as
+oracles; the package must agree with them exactly, down to the last bit of
+every float. The check draws its orders with `sample`'s pool method inlined,
+decides verdicts on integer cross-products and takes a log2 only for
+products near each activity's smallest one, so the oracle comparisons run on
+3- to 5-regular graphs up to the 28 vertices of the default cap, the draws
+are held to `sample` itself, and a K_{d,d} order that meets the bound with
+equality must pass.
 
 The engine's polynomials are also held to the occupancy-fraction theorem of
 Davies, Jenssen, Perkins and Roberts (2017): on a d-regular graph,
@@ -17,6 +24,7 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,13 +34,14 @@ from indsets.graphs import (
     component_masks,
     disjoint_union,
     gen_complete_bipartite,
+    gen_cycle,
     gen_petersen,
     gen_random_regular,
     graph_stats,
     is_independent,
     mask_vertices,
 )
-from indsets.harness import CHECKS, CheckResult, GraphFacts, RunConfig
+from indsets.harness import CHECKS, CheckResult, GraphFacts, RunConfig, _distinct_histograms
 from indsets.polynomial import IndependencePolynomial, independence_polynomial
 
 
@@ -182,6 +191,96 @@ def test_check_order_bound_matches_undeduplicated_loop(g, lambdas, orders, seed,
     want = oracle_check_order_bound(g, stats, poly, cfg, "g")
     # Serialised as in the report, so every float must match bit for bit.
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def pool_sample(rng, n):
+    """random.Random.sample(range(n), n) spelled out: its pool branch, one
+    _randbelow(n - i) per position."""
+    pool = list(range(n))
+    out = []
+    for i in range(n):
+        m = n - i
+        k = m.bit_length()
+        j = rng.getrandbits(k)
+        while j >= m:
+            j = rng.getrandbits(k)
+        out.append(pool[j])
+        pool[j] = pool[m - 1]
+    return out
+
+
+def test_inlined_draws_match_random_sample():
+    for n in range(1, 65):
+        g = gen_cycle(n) if n >= 3 else None
+        adj, d = (g.adj, 2) if g else ((0,) * n, 0)
+        for seed in range(50):
+            mine, ref, lib = random.Random(seed), random.Random(seed), random.Random(seed)
+            for _ in range(3):  # consecutive orders continue the same stream
+                ((hist, order),) = _distinct_histograms(mine.getrandbits, adj, n, d, 1).items()
+                assert order == pool_sample(ref, n) == lib.sample(range(n), n)
+                assert hist == (bd.order_histogram(g, order, d) if g else (n,))
+
+
+def _regular(n, d, seed):
+    while True:
+        try:
+            return gen_random_regular(n, d, seed)
+        except GraphError:
+            seed += 1000
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("inflate", [None, 2, 10**4])
+def test_check_order_bound_matches_oracle_up_to_the_default_cap(d, inflate):
+    # Past the Hypothesis sizes: every n up to 28, 20 orders, the default
+    # activities plus a small and a large one, bit for bit.
+    lambdas = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3, 7), Fraction(10**9, 7))
+    cfg = RunConfig(lambdas=lambdas, orders=20, seed=11)
+    statuses = set()
+    for n in range(d + 1, 29):
+        if n * d % 2:
+            continue
+        g = _regular(n, d, n)
+        stats = graph_stats(g)
+        poly = independence_polynomial(g)
+        if inflate is not None:
+            poly = _inflated(poly, inflate)
+        graph_id = f"rr:{n}:{d}"
+        got = CHECKS["order_bound"](GraphFacts(graph_id, g, cfg, stats, poly))
+        want = oracle_check_order_bound(g, stats, poly, cfg, graph_id)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        statuses.add(got.status)
+    # The true polynomials pass, and inflated ones fail somewhere.
+    assert ("fail" in statuses) == (inflate is not None)
+
+
+def test_check_order_bound_matches_oracle_past_the_float_safe_size():
+    # At lam = 2^80000 the Petersen graph's products have about 1.2M bits,
+    # past harness.LOG2_SAFE_BITS, so every product gets a log2.
+    g = gen_petersen()
+    stats, poly = graph_stats(g), independence_polynomial(g)
+    cfg = RunConfig(lambdas=(Fraction(2**80000),), orders=5, seed=3)
+    got = CHECKS["order_bound"](GraphFacts("p", g, cfg, stats, poly))
+    want = oracle_check_order_bound(g, stats, poly, cfg, "p")
+    assert got.status == "pass"
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_check_order_bound_passes_at_equality_on_kdd():
+    # On K_{d,d}, an order that lists one side first has product
+    # (2(1+lam)^d - 1)^d = P(lam)^d: the bound holds with equality there.
+    d = 3
+    g = gen_complete_bipartite(d)
+    side = (1 << d) - 1
+    stats, poly = graph_stats(g), independence_polynomial(g)
+    cfg = RunConfig(orders=20, seed=1)
+    rng = random.Random("1:kdd:order_bound")
+    orders = [rng.sample(range(2 * d), 2 * d) for _ in range(cfg.orders)]
+    firsts = [sum(1 << v for v in order[:d]) for order in orders]
+    assert any(first in (side, side << d) for first in firsts)
+    got = CHECKS["order_bound"](GraphFacts("kdd", g, cfg, stats, poly))
+    assert got.status == "pass" and got.holds_exact
+    assert got.to_dict() == oracle_check_order_bound(g, stats, poly, cfg, "kdd").to_dict()
 
 
 # ---------------------------------------------------------------------------
