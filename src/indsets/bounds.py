@@ -183,30 +183,48 @@ def order_histogram(g: Graph, order, d: int) -> tuple[int, ...]:
     return tuple(hist)
 
 
-def order_product(hist: tuple[int, ...], activity, edge_count: int) -> Fraction:
-    """prod_v (2(1+activity)^(p(v)) - 1) from the p-value histogram, exactly.
+def order_numerators(
+    hists: list[tuple[int, ...]], activity: Fraction, edge_count: int
+) -> tuple[list[int], int]:
+    """prod_v (2(1+activity)^(p(v)) - 1) for each p-value histogram, as numerators
+    over one common denominator.
 
     For activity a/b each factor is (2(a+b)^p - b^p) / b^p, and the p-values
-    sum to the edge count E, so the product is one integer numerator over
-    b^E, built from at most d+1 integer powers.
+    sum to the edge count E, so each product is an integer numerator
+    prod_p (2(a+b)^p - b^p)^h_p over b^E. Returns (numerators, b^E).
     """
-    if sum(p * h for p, h in enumerate(hist)) != edge_count:
-        raise AssertionError("order p-values must sum to the edge count")
     a, b = activity.as_integer_ratio()
-    num = 1
-    for p, h in enumerate(hist):
-        if h:
-            num *= (2 * (a + b) ** p - b**p) ** h
-    return Fraction(num, b**edge_count)
+    factors = [2 * (a + b) ** p - b**p for p in range(max(map(len, hists), default=0))]
+    nums = []
+    for hist in hists:
+        num = 1
+        for f, h in zip(factors, hist):
+            if h:
+                num *= f**h
+        nums.append(num)
+    return nums, b**edge_count
+
+
+def order_report(num: int, scale: int, activity: Fraction, n: int, d: int) -> BoundReport:
+    """The order bound of one product num / scale, from `order_numerators`.
+
+    The cleared form is P^d <= product, and the product (the d-th power of
+    the bound, which is rational) is the report's exact value; the bound's
+    own log2 is in constants["bound_log2"].
+    """
+    product = Fraction(num, scale)
+    log2_product = log2_fraction(product)
+    constants = {"n": n, "d": d, "activity": str(activity), "bound_log2": log2_product / d}
+    return BoundReport(
+        "order_bound", log2_product, d, product, exact_value=product, constants=constants
+    )
 
 
 def order_bound(g: Graph, order, activity) -> BoundReport:
     """Total-order bound: prod_v (2(1+activity)^(p(v)) - 1)^(1/d).
 
     p(v) counts the neighbors of v that precede it in the order; the p-values
-    always sum to the edge count. The cleared form is P^d <= product, and the
-    product (the d-th power of the bound, which is rational) is the report's
-    exact value; the bound's own log2 is in constants["bound_log2"].
+    always sum to the edge count.
     """
     d = g.regular_degree()
     if d is None or d < 1:
@@ -217,12 +235,11 @@ def order_bound(g: Graph, order, activity) -> BoundReport:
     lam = Fraction(activity)
     if lam <= 0:
         raise ValueError("activity must be positive")
-    product = order_product(order_histogram(g, perm, d), lam, g.edge_count())
-    log2_product = log2_fraction(product)
-    constants = {"n": g.n, "d": d, "activity": str(lam), "bound_log2": log2_product / d}
-    return BoundReport(
-        "order_bound", log2_product, d, product, exact_value=product, constants=constants
-    )
+    hist = order_histogram(g, perm, d)
+    if sum(p * h for p, h in enumerate(hist)) != g.edge_count():
+        raise AssertionError("order p-values must sum to the edge count")
+    (num,), scale = order_numerators([hist], lam, g.edge_count())
+    return order_report(num, scale, lam, g.n, d)
 
 
 def independent_first_bound(n: int, d: int, alpha: int, activity) -> BoundReport:

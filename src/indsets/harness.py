@@ -383,80 +383,44 @@ def _distinct_histograms(getrandbits, adj, n: int, d: int, count: int) -> dict:
     return firsts
 
 
-# A product within a factor 1 + 2^-NEAR_BITS of an activity's smallest one
-# has its margin taken in floats; see _order_bound.
-NEAR_BITS = 30
-LOG2_SAFE_BITS = 1 << 20
-
-
 def _order_bound(c: Check, f: GraphFacts) -> CheckResult:
     """P(lam)^d <= prod_v (2(1+lam)^p(v) - 1) on cfg.orders random orders.
 
-    The product depends only on the order's histogram h of p-values, so each
-    distinct histogram is judged once, with its first order as the witness;
-    a repeat has the same verdict and gap and cannot change the first
-    failure or the minimum gap. Histograms are judged in first-appearance
-    order and activities in run order, as a loop over every (order, lam)
-    pair would meet them.
-
-    Verdict, in integers: for lam = a/b and f_p = 2(a+b)^p - b^p the product
-    is num / b^E with num = prod_p f_p^h_p (the p-values sum to the edge
-    count E), and with P(lam) = vn/vd the bound fails iff
-    vn^d * b^E > num * vd^d.
-
-    Margin: min over (histogram, lam) of log2_fraction(num / b^E) / d -
-    log2 P(lam), taken in floats only for each activity's numerators within
-    a factor 1 + 2^-NEAR_BITS of its smallest one. While every numerator and
-    b^E has at most LOG2_SAFE_BITS = 2^20 bits, math.log2 of either side of
-    the reduced fraction is within one ulp at 2^20 (2^-33) plus 2^-51 of the
-    truth, and the subtraction rounds once more (2^-34), so log2_fraction is
-    within 2^-31 of the true log2. A skipped numerator exceeds the smallest
-    by a factor above 1 + 2^-30, a log2 gap above 1.44 * 2^-30 > 2 * 2^-31,
-    so its float log2 is strictly larger; division by d and subtracting
-    log2 P(lam) are monotone in floats, so its gap is no smaller and the
-    minimum is the same float bit for bit. Past that size every numerator
-    gets a log2.
+    The product depends only on the order's histogram of p-values, so each
+    distinct histogram is judged with its first order as the witness; a
+    repeat has the same verdict and gap. `bounds.order_numerators` gives each
+    histogram's product, and `bounds.order_report` judges it. The verdict is
+    monotone in the product, so every pair holds iff each activity's
+    smallest product does: those are judged first, and the check passes with
+    the smallest of their margins. Only when one fails are the pairs judged
+    in the order a loop over every (order, lam) pair would meet them, up to
+    the first failure, which is the witness.
     """
     cfg, n, d, edges = f.cfg, f.stats.n, f.stats.d, f.stats.edge_count
     if cfg.orders == 0:
         return c.skip("no orders requested")
     getrandbits = _rng(cfg, f.graph_id, "order_bound").getrandbits
     firsts = _distinct_histograms(getrandbits, f.g.adj, n, d, cfg.orders)
-    per_lam = []
-    for lam, value, value_log2 in f.evaluations:
-        a, b = lam.as_integer_ratio()
-        vn, vd = value.as_integer_ratio()
-        scale = b**edges
-        factors = [2 * (a + b) ** p - b**p for p in range(d + 1)]
-        per_lam.append((lam, value, value_log2, factors, scale, vn**d * scale, vd**d, []))
-    for hist, order in firsts.items():
-        for lam, value, _, factors, scale, lhs, vd_power, nums in per_lam:
-            num = 1
-            for p in range(1, d + 1):  # f_0 = 1
-                if hist[p]:
-                    num *= factors[p] ** hist[p]
-            if lhs > num * vd_power:
-                return c.result(
-                    False,
-                    {
-                        "activity": str(lam),
-                        "order": order,
-                        "value": str(value),
-                        "product": str(Fraction(num, scale)),
-                    },
-                )
-            nums.append(num)
-    margin = None
-    for _, _, value_log2, _, scale, _, _, nums in per_lam:
-        low, high = min(nums), max(nums)
-        cut = low + (low >> NEAR_BITS)
-        if max(high.bit_length(), scale.bit_length()) > LOG2_SAFE_BITS:
-            cut = high
-        for num in nums:
-            if num <= cut:
-                gap = bd.log2_fraction(Fraction(num, scale)) / d - value_log2
-                margin = gap if margin is None else min(margin, gap)
-    return c.result(True, margin=margin)
+    hists, orders = list(firsts), list(firsts.values())
+    products = [bd.order_numerators(hists, lam, edges) for lam, _, _ in f.evaluations]
+
+    def judged(k: int, num: int) -> bd.BoundReport:
+        lam, value, value_log2 = f.evaluations[k]
+        return bd.order_report(num, products[k][1], lam, n, d).judge(value, value_log2)
+
+    reports = [judged(k, min(nums)) for k, (nums, _) in enumerate(products)]
+    # (histogram, activity) pairs, histogram-major: the failure path's order.
+    pairs = [(j, k) for j in range(len(hists)) for k in range(len(products))]
+    if not all(rep.holds_exact for rep in reports):
+        reports = (judged(k, products[k][0][j]) for j, k in pairs)
+
+    def witness(i: int, rep: bd.BoundReport) -> dict:
+        j, k = pairs[i]
+        lam, value, _ = f.evaluations[k]
+        product = str(rep.exact_value)
+        return {"activity": str(lam), "order": orders[j], "value": str(value), "product": product}
+
+    return c.fold(reports, witness)
 
 
 def _independent_first(c: Check, f: GraphFacts) -> CheckResult:
