@@ -53,13 +53,17 @@ class BoundReport:
 
     def judge(self, value, value_log2: float) -> BoundReport:
         """Decide value <= bound by the cleared form, set the margin log2(bound) -
-        value_log2 and the equality flag, and return the report."""
+        value_log2 (exactly 0.0 at equality, where the floats may round apart)
+        and the equality flag, and return the report."""
         lhs = value if self.power == 1 else value**self.power
         if self.scale != 1:
             lhs *= self.scale
         self.holds_exact = lhs <= self.cleared
         self.tight = lhs == self.cleared
-        self.margin_log2 = self.constants.get("bound_log2", self.log2_value) - value_log2
+        if self.tight:
+            self.margin_log2 = 0.0
+        else:
+            self.margin_log2 = self.constants.get("bound_log2", self.log2_value) - value_log2
         return self
 
     def to_dict(self) -> dict:

@@ -729,6 +729,46 @@ def test_kahn_rows_are_decided_at_the_threshold(monkeypatch):
         assert verdicts == {"kahn": holds, "weighted_kahn": holds}
 
 
+TIGHT_ON_KDD = ("conjecture_counts", "conjecture_weighted", "order_bound")
+
+
+@pytest.mark.parametrize(
+    "spec,tight_checks",
+    [("gen:kdd:3", TIGHT_ON_KDD), ("gen:union:kdd:3+kdd:3", TIGHT_ON_KDD[:2])],
+)
+def test_margins_at_equality_are_exactly_zero(spec, tight_checks, tmp_path, capsys):
+    # K_{3,3} meets the count and weighted bounds with equality, and so does
+    # every order that lists one side of each copy first (the natural order
+    # does; verify's random orders do on one copy); the floats of both sides
+    # round apart by an ulp or two, but the reported margin is 0.0.
+    out = tmp_path / "r.json"
+    assert main(["verify", spec, "--out", str(out)]) == 0
+    (record,) = json.loads(out.read_text())["records"]
+    margins = {c["name"]: c.get("margin_log2") for c in record["checks"]}
+    assert {name: margins[name] for name in tight_checks} == dict.fromkeys(tight_checks, 0.0)
+    assert all(m is None or m >= 0 for m in margins.values())
+    _, reports, _ = bounds_for_graph(graph_from_spec(spec), RunConfig())
+    tight = [rep for rep in reports if rep.tight]
+    assert {rep.name for rep in tight} == set(TIGHT_ON_KDD)
+    assert all(repr(rep.margin_log2) == "0.0" for rep in tight)
+    assert all(rep.margin_log2 > 0 for rep in reports if not rep.tight)
+
+
+def test_order_bound_check_takes_its_verdict_from_judge(monkeypatch):
+    # The check has no verdict of its own: a judge that rejects every report
+    # makes it fail, at the first (order, activity) pair.
+    def reject(self, value, value_log2):
+        self.holds_exact, self.tight, self.margin_log2 = False, False, 0.0
+        return self
+
+    monkeypatch.setattr(bd.BoundReport, "judge", reject)
+    g = gen_petersen()
+    facts = GraphFacts("p", g, RunConfig(), graph_stats(g), harness.independence_polynomial(g))
+    result = CHECKS["order_bound"](facts)
+    assert result.status == "fail" and result.witness["activity"] == "1/2"
+
+
+
 # ---------------------------------------------------------------------------
 # One path from formula to verdict
 # ---------------------------------------------------------------------------

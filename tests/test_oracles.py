@@ -68,7 +68,8 @@ def oracle_check_order_bound(g, stats, poly, cfg, graph_id):
     """The order check over every (order, activity) pair, no deduplication.
 
     The margin is one log2 gap per activity, taken at its smallest product
-    over all orders; the check's margin is the least of those gaps.
+    over all orders and 0.0 where that product equals P(lam)^d; the check's
+    margin is the least of those gaps.
     """
     rng = random.Random(f"{cfg.seed}:{graph_id}:order_bound")
     values = {lam: oracle_evaluate(poly.coeffs, lam) for lam in cfg.lambdas}
@@ -92,7 +93,9 @@ def oracle_check_order_bound(g, stats, poly, cfg, graph_id):
                     },
                 )
     margin = min(
-        bd.log2_fraction(product) / stats.d - bd.log2_fraction(values[lam])
+        0.0
+        if values[lam] ** stats.d == product
+        else bd.log2_fraction(product) / stats.d - bd.log2_fraction(values[lam])
         for lam, product in smallest.items()
     )
     return CheckResult("order_bound", "must_hold", "pass", holds_exact=True, margin_log2=margin)
