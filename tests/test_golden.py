@@ -30,7 +30,11 @@ sequential pairing, `gen:rr:20:3:7` and `gen:rr:20:4:8` became other graphs,
 so the eight `rr20d3` and `rr20d4` files were rewritten and every other file
 kept its bytes. When `kdd_exponent_expansion` was deleted, each of the six
 regular graphs' `bounds` files lost that row (9 JSON lines, 1 CSV row), with
-nothing else changed.
+nothing else changed. When `BoundReport.judge` started to report a margin of
+exactly 0.0 at equality, the tight rows of `golden_report.json` (6 lines)
+and of the `kdd3` and `kdd3x2` `bounds` CSV files (7 rows each) changed
+their `margin_log2` from a float rounding residue such as -4.44e-16 to 0.0,
+with nothing else changed.
 """
 
 import contextlib
