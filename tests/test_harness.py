@@ -768,6 +768,14 @@ def test_order_bound_check_takes_its_verdict_from_judge(monkeypatch):
     assert result.status == "fail" and result.witness["activity"] == "1/2"
 
 
+def test_cli_bounds_prints_exact_values_past_the_int_string_limit(capsys):
+    # The order_bound rows' exact products of K_40 at lam = 10^7 have about
+    # 5,500 digits, past Python's default 4,300-digit limit on int to str.
+    assert main(["bounds", "gen:complete:40", "--lambda", "10000000"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert max(len(rep.get("exact_value", "")) for rep in reports) > 4300
+    assert reports and all(rep["holds_exact"] is True for rep in reports)
+
 
 # ---------------------------------------------------------------------------
 # One path from formula to verdict
