@@ -23,10 +23,9 @@ class GraphError(ValueError):
     """Invalid graph construction, generator parameters, or graph6 input."""
 
 
-def _require_capacity(n: int, what: str, cap: int | None = None):
-    cap = VERTEX_CAPACITY if cap is None else cap
-    if n > cap:
-        raise GraphError(f"{what} {n} exceeds capacity {cap}")
+def _require_capacity(n: int, what: str):
+    if n > VERTEX_CAPACITY:
+        raise GraphError(f"{what} {n} exceeds capacity {VERTEX_CAPACITY}")
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -106,12 +105,12 @@ class GraphStats:
     edge_count: int
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]], capacity: int | None = None) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph from an edge list; duplicate edges collapse.
 
-    Raises GraphError for loops, out-of-range endpoints, or n beyond capacity.
+    Raises GraphError for loops, out-of-range endpoints, or n beyond VERTEX_CAPACITY.
     """
-    _require_capacity(n, "vertex count", capacity)
+    _require_capacity(n, "vertex count")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -292,17 +291,17 @@ def write_graph6(g: Graph) -> str:
     return "".join(parts)
 
 
-def parse_graph6(text: str, capacity: int | None = None) -> Graph:
+def parse_graph6(text: str) -> Graph:
     """Parse one graph6 line; the optional '>>graph6<<' prefix is accepted.
 
     Rejects malformed headers, out-of-range bytes, trailing garbage, nonzero
-    padding bits, and sizes beyond capacity.
+    padding bits, and sizes beyond VERTEX_CAPACITY.
     """
     line = text.strip("\r\n")
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
     n, consumed = _g6_decode_size(line)
-    _require_capacity(n, "graph6 size", capacity)
+    _require_capacity(n, "graph6 size")
     body = line[consumed:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
