@@ -60,10 +60,8 @@ class BoundReport:
             lhs *= self.scale
         self.holds_exact = lhs <= self.cleared
         self.tight = lhs == self.cleared
-        if self.tight:
-            self.margin_log2 = 0.0
-        else:
-            self.margin_log2 = self.constants.get("bound_log2", self.log2_value) - value_log2
+        bound_log2 = self.constants.get("bound_log2", self.log2_value)
+        self.margin_log2 = 0.0 if self.tight else bound_log2 - value_log2
         return self
 
     def to_dict(self) -> dict:
@@ -187,35 +185,22 @@ def order_histogram(g: Graph, order, d: int) -> tuple[int, ...]:
     return tuple(hist)
 
 
-def order_numerators(
-    hists: list[tuple[int, ...]], activity: Fraction, edge_count: int
-) -> tuple[list[int], int]:
-    """prod_v (2(1+activity)^(p(v)) - 1) for each p-value histogram, as numerators
-    over one common denominator.
+def order_numerators(hists: list, activity: Fraction, edge_count: int) -> tuple[list[int], int]:
+    """prod_v (2(1+activity)^p(v) - 1) of each p-value histogram, as numerators over b^E.
 
-    For activity a/b each factor is (2(a+b)^p - b^p) / b^p, and the p-values
-    sum to the edge count E, so each product is an integer numerator
-    prod_p (2(a+b)^p - b^p)^h_p over b^E. Returns (numerators, b^E).
+    For activity a/b each factor is (2(a+b)^p - b^p) / b^p and the p-values
+    sum to the edge count E, so a product is prod_p (2(a+b)^p - b^p)^h_p / b^E.
+    Returns (numerators, b^E).
     """
     a, b = activity.as_integer_ratio()
     factors = [2 * (a + b) ** p - b**p for p in range(max(map(len, hists), default=0))]
-    nums = []
-    for hist in hists:
-        num = 1
-        for f, h in zip(factors, hist):
-            if h:
-                num *= f**h
-        nums.append(num)
+    nums = [math.prod(f**h for f, h in zip(factors, hist) if h) for hist in hists]
     return nums, b**edge_count
 
 
 def order_report(num: int, scale: int, activity: Fraction, n: int, d: int) -> BoundReport:
-    """The order bound of one product num / scale, from `order_numerators`.
-
-    The cleared form is P^d <= product, and the product (the d-th power of
-    the bound, which is rational) is the report's exact value; the bound's
-    own log2 is in constants["bound_log2"].
-    """
+    """The order bound with product num / scale: cleared form P^d <= product, the
+    product as exact value, and the bound's own log2 in constants["bound_log2"]."""
     product = Fraction(num, scale)
     log2_product = log2_fraction(product)
     constants = {"n": n, "d": d, "activity": str(activity), "bound_log2": log2_product / d}

@@ -386,30 +386,26 @@ def _distinct_histograms(getrandbits, adj, n: int, d: int, count: int) -> dict:
 def _order_bound(c: Check, f: GraphFacts) -> CheckResult:
     """P(lam)^d <= prod_v (2(1+lam)^p(v) - 1) on cfg.orders random orders.
 
-    The product depends only on the order's histogram of p-values, so each
-    distinct histogram is judged with its first order as the witness; a
-    repeat has the same verdict and gap. `bounds.order_numerators` gives each
-    histogram's product, and `bounds.order_report` judges it. The verdict is
-    monotone in the product, so every pair holds iff each activity's
-    smallest product does: those are judged first, and the check passes with
-    the smallest of their margins. Only when one fails are the pairs judged
-    in the order a loop over every (order, lam) pair would meet them, up to
-    the first failure, which is the witness.
+    The product depends only on the order's p-value histogram, so a repeated
+    histogram has the same verdict and margin; each distinct one is kept with
+    its first order as the witness. The verdict is monotone in the product:
+    every (order, lam) pair holds iff each activity's smallest product does,
+    so those are judged first and give the margin. Only when one fails are
+    the pairs judged in draw order, histogram-major, up to the first failure.
     """
-    cfg, n, d, edges = f.cfg, f.stats.n, f.stats.d, f.stats.edge_count
+    cfg, n, d = f.cfg, f.stats.n, f.stats.d
     if cfg.orders == 0:
         return c.skip("no orders requested")
     getrandbits = _rng(cfg, f.graph_id, "order_bound").getrandbits
     firsts = _distinct_histograms(getrandbits, f.g.adj, n, d, cfg.orders)
     hists, orders = list(firsts), list(firsts.values())
-    products = [bd.order_numerators(hists, lam, edges) for lam, _, _ in f.evaluations]
+    products = [bd.order_numerators(hists, lam, f.stats.edge_count) for lam, _, _ in f.evaluations]
 
     def judged(k: int, num: int) -> bd.BoundReport:
         lam, value, value_log2 = f.evaluations[k]
         return bd.order_report(num, products[k][1], lam, n, d).judge(value, value_log2)
 
     reports = [judged(k, min(nums)) for k, (nums, _) in enumerate(products)]
-    # (histogram, activity) pairs, histogram-major: the failure path's order.
     pairs = [(j, k) for j in range(len(hists)) for k in range(len(products))]
     if not all(rep.holds_exact for rep in reports):
         reports = (judged(k, products[k][0][j]) for j, k in pairs)
