@@ -194,7 +194,7 @@ def order_numerators(hists: list, activity: Fraction, edge_count: int) -> tuple[
     """
     a, b = activity.as_integer_ratio()
     factors = [2 * (a + b) ** p - b**p for p in range(max(map(len, hists), default=0))]
-    nums = [math.prod(f**h for f, h in zip(factors, hist) if h) for hist in hists]
+    nums = [math.prod(map(pow, factors, hist)) for hist in hists]
     return nums, b**edge_count
 
 

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -301,7 +301,7 @@ class Check:
         status = "pass" if ok else "fail"
         return CheckResult(self.name, self.check_class, status, ok, margin, witness or {})
 
-    def fold(self, reports: list[bd.BoundReport], witness) -> CheckResult:
+    def fold(self, reports: Iterable[bd.BoundReport], witness) -> CheckResult:
         """Fail at the first report whose verdict is false, with witness(index,
         report); otherwise pass with the smallest margin."""
         margin = None
