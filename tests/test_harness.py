@@ -738,9 +738,10 @@ TIGHT_ON_KDD = ("conjecture_counts", "conjecture_weighted", "order_bound")
 )
 def test_margins_at_equality_are_exactly_zero(spec, tight_checks, tmp_path, capsys):
     # K_{3,3} meets the count and weighted bounds with equality, and so does
-    # every order that lists one side of each copy first (the natural order
-    # does; verify's random orders do on one copy); the floats of both sides
-    # round apart by an ulp or two, but the reported margin is 0.0.
+    # every order that lists one side of each copy first: the natural order
+    # that bounds uses, and some of verify's random orders on one copy but
+    # none on two. The floats of both sides round apart by an ulp or two,
+    # but the reported margin is 0.0.
     out = tmp_path / "r.json"
     assert main(["verify", spec, "--out", str(out)]) == 0
     (record,) = json.loads(out.read_text())["records"]
