@@ -1,5 +1,13 @@
 """Exact independent-set counting and bound certification for regular graphs."""
 
+import sys
+
+# Exact values are printed as decimal strings in full, so importing the package
+# lifts the interpreter's int-to-str digit limit for the whole process: library
+# calls and --jobs workers then behave as the CLI does.
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
+
 from .bounds import (
     BoundReport,
     alekseev_bound,
@@ -42,8 +50,6 @@ from .graphs import (
 from .polynomial import (
     IndependencePolynomial,
     brute_force_polynomial,
-    count_independent_sets,
-    evaluate,
     independence_polynomial,
     kdd_polynomial,
     kdd_union_polynomial,

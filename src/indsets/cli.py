@@ -226,14 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. The parser is built on the first call and reused.
-
-    Exact values are printed in full, so Python's limit on the digits of an
-    int-to-str conversion is lifted where the interpreter has one.
-    """
+    """Run one command. The parser is built on the first call and reused."""
     global _parser
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)

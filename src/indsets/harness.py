@@ -23,7 +23,6 @@ independent of scheduling and reports are byte-identical across runs.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import os
@@ -590,8 +589,11 @@ def run_verify(pairs: list[tuple[str, Graph]], cfg: RunConfig) -> tuple[list[Ver
     """
     tasks = [(graph_id, g, cfg) for graph_id, g in pairs]
     if cfg.jobs > 1 and len(tasks) > 1:
+        # Imported here because it pulls in logging, which a serial run never needs.
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_verify_worker, tasks, chunksize=8))
+            records = list(pool.map(_verify_worker, tasks))
     else:
         records = [_verify_worker(task) for task in tasks]
     if any(r.internal_failure for r in records):

@@ -29,7 +29,6 @@ is never routed through the engine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -37,7 +36,11 @@ from math import comb
 from .graphs import Graph, component_masks, mask_of, mask_vertices, max_degree_vertex
 
 BRUTE_FORCE_LIMIT = 24
-DEFAULT_MEMO_LIMIT = 1 << 22
+# Most component masks the split engine's memo stores in one call. Residual
+# components repeat under the recurrence, so the memo pays there, but a graph
+# on n vertices has up to 2^n of them: past this many entries the engine keeps
+# solving exactly and stops remembering, so its memory stays bounded.
+MEMO_LIMIT = 1 << 22
 # Widest greedy frontier solved by the frontier DP; a wider component is
 # branched on. On random 3- and 5-regular graphs with 40-64 vertices (three
 # seeds of the verify_reach benchmark corpus) 14 took the least total time,
@@ -86,14 +89,6 @@ class IndependencePolynomial:
             acc = acc * a + c * b_pow
             b_pow *= b
         return Fraction(acc, b**self.degree)
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "coeffs": [str(c) for c in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "IndependencePolynomial":
-        obj = json.loads(text)
-        return cls(int(obj["n"]), tuple(int(c) for c in obj["coeffs"]))
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -236,9 +231,7 @@ def _frontier_dp(adj, verts: int, order: list[int], shift: int) -> int:
     return states[0]
 
 
-def _split_engine(
-    g: Graph, max_width: int, memo_limit: int = DEFAULT_MEMO_LIMIT
-) -> IndependencePolynomial:
+def _split_engine(g: Graph, max_width: int) -> IndependencePolynomial:
     """Independence polynomial by recurrence branches down to frontier-DP leaves.
 
     Every component the recurrence reaches, starting with the whole graph,
@@ -257,7 +250,7 @@ def _split_engine(
     residual subgraph is split into connected components, whose polynomials
     multiply and which face the same test; single-vertex components
     multiply by (1 + x) inline. The memo is keyed by vertex mask, is private
-    to this call and stops growing once `memo_limit` entries are stored.
+    to this call and stops growing once MEMO_LIMIT entries are stored.
 
     No order is narrower than the component's minimum degree: just before
     the last vertex is placed, all of its neighbours are on the frontier. A
@@ -310,7 +303,7 @@ def _split_engine(
         return remember(verts, solve(rest, cap) + (solve(rest & ~adj[v], cap) << shift))
 
     def remember(verts: int, packed: int) -> int:
-        if len(memo) < memo_limit:
+        if len(memo) < MEMO_LIMIT:
             memo[verts] = packed
         return packed
 
@@ -321,18 +314,15 @@ def _split_engine(
     return _unpack(g.n, packed)
 
 
-def independence_polynomial(
-    g: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT
-) -> IndependencePolynomial:
+def independence_polynomial(g: Graph) -> IndependencePolynomial:
     """Exact independence polynomial by `_split_engine` at DP_MAX_WIDTH.
 
     One rule covers the graph and every component the recurrence reaches: a
     component whose greedy frontier order has width at most DP_MAX_WIDTH is
     solved by the frontier DP, which holds at most 2^width states; a wider
     one is branched on once and its residual components are checked again.
-    `memo_limit` bounds the memo of the branches and leaves.
     """
-    return _split_engine(g, DP_MAX_WIDTH, memo_limit)
+    return _split_engine(g, DP_MAX_WIDTH)
 
 
 def brute_force_polynomial(g: Graph) -> IndependencePolynomial:
@@ -364,16 +354,6 @@ def poly_product(
 ) -> IndependencePolynomial:
     """Polynomial of a disjoint union: exact coefficient convolution."""
     return IndependencePolynomial(p.n + q.n, tuple(_convolve(list(p.coeffs), list(q.coeffs))))
-
-
-def evaluate(p: IndependencePolynomial, activity) -> Fraction:
-    """Exact rational value of the polynomial at a rational activity."""
-    return p.evaluate(activity)
-
-
-def count_independent_sets(g: Graph) -> int:
-    """Exact number of independent sets, empty set included."""
-    return independence_polynomial(g).total()
 
 
 def kdd_polynomial(d: int) -> IndependencePolynomial:

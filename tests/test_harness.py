@@ -151,9 +151,13 @@ def test_run_verify_exit_codes_clean():
 
 
 def test_run_verify_parallel_matches_serial():
-    pairs = load_inputs(["gen:cycle:5", "gen:petersen", "gen:rr:12:3:3", "gen:kdd:3"])
-    cfg_serial = RunConfig(orders=4, jobs=1)
-    cfg_parallel = RunConfig(orders=4, jobs=2)
+    # Ten graphs of mixed cost, handed to the two workers one at a time, so
+    # records come from both workers and must still arrive in input order.
+    specs = ["gen:rr:40:5:1", "gen:cycle:5", "gen:petersen", "gen:rr:12:3:3", "gen:kdd:3"]
+    specs += ["gen:rr:40:3:2", "gen:rr:20:4:5", "gen:complete:6", "gen:rr:16:5:7", "gen:rr:28:3:4"]
+    pairs = load_inputs(specs)
+    cfg_serial = RunConfig(orders=4, jobs=1, cap=40)
+    cfg_parallel = RunConfig(orders=4, jobs=2, cap=40)
     serial, code_s = run_verify(pairs, cfg_serial)
     parallel, code_p = run_verify(pairs, cfg_parallel)
     assert code_s == code_p == 0
@@ -776,6 +780,21 @@ def test_cli_bounds_prints_exact_values_past_the_int_string_limit(capsys):
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert max(len(rep.get("exact_value", "")) for rep in reports) > 4300
     assert reports and all(rep["holds_exact"] is True for rep in reports)
+
+
+def test_library_import_lifts_the_int_string_limit():
+    # A fresh interpreter, since this process may have the limit lifted already.
+    code = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "from indsets.graphs import gen_petersen",
+        "from indsets.harness import RunConfig, verify_graph",
+        "assert getattr(sys, 'get_int_max_str_digits', lambda: 0)() == 0",
+        "cfg = RunConfig(lambdas=(Fraction(2**15000),), orders=2)",
+        "assert not verify_graph('p', gen_petersen(), cfg).internal_failure",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,11 @@ from indsets.graphs import (
 )
 from indsets.harness import graph_from_spec
 from indsets.polynomial import (
-    DEFAULT_MEMO_LIMIT,
     DP_MAX_WIDTH,
     IndependencePolynomial,
     _split_engine,
     _unpack,
     brute_force_polynomial,
-    count_independent_sets,
-    evaluate,
     frontier_order,
     independence_polynomial,
     kdd_polynomial,
@@ -44,9 +41,9 @@ def _dp(g):
     return _unpack(g.n, polynomial._frontier_dp(g.adj, g.full_mask, order, g.n + 1))
 
 
-def _recurrence(g, memo_limit=DEFAULT_MEMO_LIMIT):
+def _recurrence(g):
     """The pure vertex recurrence: a negative width limit takes no order and no DP leaf."""
-    return _split_engine(g, -1, memo_limit)
+    return _split_engine(g, -1)
 
 
 def random_graph(n, p, seed):
@@ -70,14 +67,14 @@ def test_complete_graph_polynomial():
 
 def test_cycle_and_petersen_polynomials():
     assert independence_polynomial(gen_cycle(5)).coeffs == (1, 5, 5)
-    assert count_independent_sets(gen_cycle(5)) == 11
+    assert independence_polynomial(gen_cycle(5)).total() == 11
     assert independence_polynomial(gen_petersen()).coeffs == (1, 10, 30, 30, 5)
-    assert count_independent_sets(gen_petersen()) == 76
+    assert independence_polynomial(gen_petersen()).total() == 76
 
 
 def test_empty_graph_polynomial():
     assert independence_polynomial(build_graph(0, [])).coeffs == (1,)
-    assert count_independent_sets(build_graph(1, [])) == 2
+    assert independence_polynomial(build_graph(1, [])).total() == 2
 
 
 def test_brute_force_examples():
@@ -103,15 +100,15 @@ def test_poly_product_examples():
 
 def test_evaluate_examples():
     p = IndependencePolynomial(4, (1, 4, 2))
-    assert evaluate(p, 1) == 7
-    assert evaluate(p, 0) == 1
+    assert p.evaluate(1) == 7
+    assert p.evaluate(0) == 1
     c5 = IndependencePolynomial(5, (1, 5, 5))
-    assert evaluate(c5, Fraction(1, 2)) == Fraction(19, 4)
-    assert evaluate(c5, Fraction(1, 2)) == 1 + Fraction(5, 2) + Fraction(5, 4)
+    assert c5.evaluate(Fraction(1, 2)) == Fraction(19, 4)
+    assert c5.evaluate(Fraction(1, 2)) == 1 + Fraction(5, 2) + Fraction(5, 4)
 
 
 def test_count_examples():
-    assert count_independent_sets(gen_complete_bipartite(3)) == 15 == 2 ** 4 - 1
+    assert independence_polynomial(gen_complete_bipartite(3)).total() == 15 == 2 ** 4 - 1
 
 
 def test_extremal_union_counts():
@@ -119,7 +116,7 @@ def test_extremal_union_counts():
         copy = gen_complete_bipartite(d)
         g = copy
         for m in range(1, 4):
-            assert count_independent_sets(g) == (2 ** (d + 1) - 1) ** m
+            assert independence_polynomial(g).total() == (2 ** (d + 1) - 1) ** m
             if m < 3:
                 g = disjoint_union(g, copy)
 
@@ -176,18 +173,25 @@ def test_invariant_validation():
         IndependencePolynomial(2, (1, 2, 0))
 
 
-def test_json_round_trip():
-    p = independence_polynomial(gen_petersen())
-    assert IndependencePolynomial.from_json(p.to_json()) == p
-    text = kdd_union_polynomial(3, 8).to_json()
-    assert '"coeffs"' in text and '"n": 48' in text
-    assert IndependencePolynomial.from_json(text) == kdd_union_polynomial(3, 8)
+def test_memo_limit_zero_still_correct(monkeypatch):
+    branches = []
+    branch = polynomial.max_degree_vertex
 
+    def spy(adj, verts, cap):
+        branches.append(verts)
+        return branch(adj, verts, cap)
 
-def test_memo_limit_zero_still_correct():
+    monkeypatch.setattr(polynomial, "max_degree_vertex", spy)
     g = gen_petersen()
-    assert _recurrence(g, memo_limit=0).coeffs == (1, 10, 30, 30, 5)
-    assert _split_engine(g, 2, memo_limit=0).coeffs == (1, 10, 30, 30, 5)
+    assert _recurrence(g).coeffs == (1, 10, 30, 30, 5)
+    remembered = len(branches)
+    assert len(set(branches)) == remembered
+    # With no room in the memo every repeated component is solved again.
+    monkeypatch.setattr(polynomial, "MEMO_LIMIT", 0)
+    branches.clear()
+    assert _recurrence(g).coeffs == (1, 10, 30, 30, 5)
+    assert len(branches) > remembered and len(set(branches)) < len(branches)
+    assert _split_engine(g, 2).coeffs == (1, 10, 30, 30, 5)
 
 
 # Every path packs coefficient t at bit offset t * (n + 1), DP leaves on a
@@ -253,8 +257,10 @@ def test_four_kdd8_union(monkeypatch):
 def test_small_memo_limit_matches_default(n, p, seed, memo_limit):
     g = random_graph(n, p, seed)
     full = _recurrence(g)
-    assert _recurrence(g, memo_limit=memo_limit) == full
-    assert _split_engine(g, 3, memo_limit=memo_limit) == full
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomial, "MEMO_LIMIT", memo_limit)
+        assert _recurrence(g) == full
+        assert _split_engine(g, 3) == full
     if n <= 14:
         assert full == brute_force_polynomial(g)
 
@@ -420,9 +426,7 @@ def test_routing_by_width(monkeypatch):
 
     seen = []
     monkeypatch.setattr(
-        polynomial,
-        "_split_engine",
-        lambda g, max_width, memo_limit: seen.append((max_width, memo_limit)),
+        polynomial, "_split_engine", lambda g, max_width: seen.append(max_width)
     )
-    independence_polynomial(wide, memo_limit=7)
-    assert seen == [(DP_MAX_WIDTH, 7)]
+    independence_polynomial(wide)
+    assert seen == [DP_MAX_WIDTH]
