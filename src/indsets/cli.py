@@ -84,29 +84,16 @@ def cmd_bounds(args) -> int:
     for notice in notices:
         print(f"note: {notice}", file=sys.stderr)
     if args.format == "csv":
-        lines = ["name,log2_value,exact_value,holds_exact,margin_log2"]
-        for rep in reports:
-            lines.append(
-                ",".join(
-                    [
-                        rep.name,
-                        repr(rep.log2_value),
-                        str(rep.exact_value) if rep.exact_value is not None else "",
-                        "" if rep.holds_exact is None else str(rep.holds_exact).lower(),
-                        "" if rep.margin_log2 is None else repr(rep.margin_log2),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        header = ["name", "log2_value", "exact_value", "holds_exact", "margin_log2"]
+        rows = [
+            [r.name, r.log2_value, r.exact_value, str(r.holds_exact).lower(), r.margin_log2]
+            for r in reports
+        ]
+        _emit(harness.csv_table(header, rows), args.out)
     else:
         doc = {
             "graph_id": graph_id,
-            "stats": {
-                "n": stats.n,
-                "d": stats.d,
-                "alpha": stats.alpha,
-                "edge_count": stats.edge_count,
-            },
+            "stats": dict(vars(stats)),
             "reports": [rep.to_dict() for rep in reports],
         }
         _emit(harness.indented_json(doc), args.out)
@@ -126,8 +113,7 @@ def cmd_verify(args) -> int:
         print(f"error: no check passed; {skipped}", file=sys.stderr)
     print(f"elapsed={elapsed:.2f}s", file=sys.stderr)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(harness.report_json(records, cfg))
+        _emit(harness.report_json(records, cfg), args.out)
     return code
 
 
@@ -139,10 +125,9 @@ def cmd_cover(args) -> int:
     cfg = _config_from_args(args)
     graph_id, g = _single_graph(args.input)
     if args.certificate is not None:
-        with open(args.certificate, "r", encoding="ascii") as fh:
-            text = fh.read()
         try:
-            cert = CoverCertificate.from_json(text, g.n)
+            with open(args.certificate, "r", encoding="ascii") as fh:
+                cert = CoverCertificate.from_json(fh.read(), g.n)
         except ValueError as exc:
             raise ValueError(f"{args.certificate}: {exc}") from exc
         ok, reason = verify_cover(g, cert)
@@ -155,7 +140,7 @@ def cmd_cover(args) -> int:
     for v in vertices:
         if not 0 <= v < g.n:
             raise GraphError(f"--set vertex {v} out of range 0..n-1 for n={g.n}")
-    summary = harness.cover_summary(g, mask_of(vertices), args.phi, cfg)
+    summary = harness.cover_summary(g, mask_of(vertices), cfg)
     summary["graph_id"] = graph_id
     _emit(harness.indented_json(summary), args.out)
     return 0 if summary["verified"] else 1

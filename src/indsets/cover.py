@@ -54,12 +54,9 @@ class CoverCertificate:
             "trace": list(self.trace),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_json(cls, text: str, n: int) -> "CoverCertificate":
-        """Parse `to_json` output whose vertices lie in 0..n-1.
+        """Parse JSON of the `to_dict` form whose vertices lie in 0..n-1.
 
         Raises ValueError naming the first field of the wrong shape.
         """

@@ -72,9 +72,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 

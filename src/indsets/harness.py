@@ -28,7 +28,7 @@ import math
 import os
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -69,7 +69,7 @@ class RunConfig:
     seed: int = 0
     cap: int = 28
     orders: int = 20
-    checks: tuple[str, ...] | None = None  # None: all registered checks
+    checks: tuple[str, ...] | None = None  # None: all; kept as names in CHECKS order
     jobs: int = 1
 
     def __post_init__(self):
@@ -87,14 +87,11 @@ class RunConfig:
             raise ValueError(f"checks must name at least one check, got {self.checks!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-
-    def enabled_checks(self) -> list[str]:
-        if self.checks is None:
-            return list(CHECKS)
-        unknown = [name for name in self.checks if name not in CHECKS]
+        selected = CHECKS if self.checks is None else self.checks
+        unknown = [name for name in selected if name not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
-        return [name for name in CHECKS if name in self.checks]
+        self.checks = tuple(name for name in CHECKS if name in selected)
 
     def to_dict(self) -> dict:
         # jobs is an execution detail: reports must not depend on scheduling.
@@ -104,7 +101,7 @@ class RunConfig:
             "seed": self.seed,
             "cap": self.cap,
             "orders": self.orders,
-            "checks": self.enabled_checks(),
+            "checks": list(self.checks),
         }
 
 
@@ -148,19 +145,11 @@ class VerificationRecord:
         return any(c.check_class == MUST_HOLD and c.status == "fail" for c in self.checks)
 
     def to_dict(self) -> dict:
-        stats = None
-        if self.stats is not None:
-            stats = {
-                "n": self.stats.n,
-                "d": self.stats.d,
-                "alpha": self.stats.alpha,
-                "edge_count": self.stats.edge_count,
-            }
         return {
             "graph_id": self.graph_id,
             "graph6": self.graph6,
             "counterexample": self.counterexample,
-            "stats": stats,
+            "stats": None if self.stats is None else dict(vars(self.stats)),
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -488,13 +477,12 @@ CHECKS = dict(CHECK_TABLE)
 def verify_graph(graph_id: str, g: Graph, cfg: RunConfig) -> VerificationRecord:
     """Run every enabled check on one graph and collect the record."""
     line = write_graph6(g)
-    enabled = cfg.enabled_checks()
     if g.n > cfg.cap:
         reason = f"n={g.n} exceeds cap {cfg.cap}"
-        checks = [CHECK_TABLE[name].skip(reason) for name in enabled]
+        checks = [CHECK_TABLE[name].skip(reason) for name in cfg.checks]
         return VerificationRecord(graph_id, line, None, checks)
     facts = GraphFacts(graph_id, g, cfg, graph_stats(g), independence_polynomial(g))
-    checks = [CHECKS[name](facts) for name in enabled]
+    checks = [CHECKS[name](facts) for name in cfg.checks]
     return VerificationRecord(graph_id, line, facts.stats, checks)
 
 
@@ -513,7 +501,7 @@ def graph_from_spec(spec: str) -> Graph:
     if not spec.startswith("gen:"):
         raise GraphError(f"not a generator spec: {spec!r}")
     body = spec[4:]
-    kind, _, rest = body.partition(":")
+    kind, sep, rest = body.partition(":")
     try:
         if kind == "cycle":
             return gen_cycle(int(rest))
@@ -522,6 +510,8 @@ def graph_from_spec(spec: str) -> Graph:
         if kind == "kdd":
             return gen_complete_bipartite(int(rest))
         if kind == "petersen":
+            if sep:
+                raise ValueError(f"petersen takes no fields, got {rest!r}")
             return gen_petersen()
         if kind == "rr":
             n, d, seed = rest.split(":")
@@ -543,40 +533,39 @@ def load_inputs(inputs: list[str]) -> list[tuple[str, Graph]]:
     """Resolve CLI inputs to (graph_id, Graph) pairs, in input order.
 
     Each input is a generator descriptor, a raw graph6 line, or a path to a
-    corpus file whose lines are descriptors or graph6. Parse errors carry the
-    offending file and line number.
+    corpus file whose lines are descriptors or graph6. Errors in a file carry
+    the file and line number (each line is decoded as ASCII on its own); an
+    argument that is no file and no graph6 line is named in its error.
     """
     out: list[tuple[str, Graph]] = []
     for item in inputs:
         if item.startswith("gen:"):
             out.append((item, graph_from_spec(item)))
         elif os.path.exists(item):
-            with open(item, "r", encoding="ascii") as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.strip()
+            with open(item, "rb") as fh:
+                lines = fh.read().splitlines()
+            for lineno, raw in enumerate(lines, start=1):
+                try:
+                    line = raw.decode("ascii").strip()
                     if not line or line.startswith("#"):
                         continue
-                    try:
-                        if line.startswith("gen:"):
-                            out.append((f"{item}:{lineno}:{line}", graph_from_spec(line)))
-                        else:
-                            out.append((f"{item}:{lineno}", parse_graph6(line)))
-                    except GraphError as exc:
-                        raise GraphError(f"{item}:{lineno}: {exc}") from exc
+                    if line.startswith("gen:"):
+                        out.append((f"{item}:{lineno}:{line}", graph_from_spec(line)))
+                    else:
+                        out.append((f"{item}:{lineno}", parse_graph6(line)))
+                except (GraphError, UnicodeDecodeError) as exc:
+                    raise GraphError(f"{item}:{lineno}: {exc}") from exc
         else:
-            # Fall back to treating the argument as a literal graph6 line.
-            out.append((item, parse_graph6(item)))
+            try:
+                out.append((item, parse_graph6(item)))
+            except GraphError as exc:
+                raise GraphError(f"{item}: no such file, so read as graph6: {exc}") from exc
     return out
 
 
 # ---------------------------------------------------------------------------
 # Verification runs and reports
 # ---------------------------------------------------------------------------
-
-
-def _verify_worker(args: tuple[str, Graph, RunConfig]) -> VerificationRecord:
-    graph_id, g, cfg = args
-    return verify_graph(graph_id, g, cfg)
 
 
 def run_verify(pairs: list[tuple[str, Graph]], cfg: RunConfig) -> tuple[list[VerificationRecord], int]:
@@ -587,15 +576,15 @@ def run_verify(pairs: list[tuple[str, Graph]], cfg: RunConfig) -> tuple[list[Ver
     check passed on any graph (every check skipped, or an empty corpus), 0
     otherwise.
     """
-    tasks = [(graph_id, g, cfg) for graph_id, g in pairs]
-    if cfg.jobs > 1 and len(tasks) > 1:
+    if cfg.jobs > 1 and len(pairs) > 1:
         # Imported here because it pulls in logging, which a serial run never needs.
         import concurrent.futures
 
+        ids, graphs = zip(*pairs)
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_verify_worker, tasks))
+            records = list(pool.map(verify_graph, ids, graphs, [cfg] * len(ids)))
     else:
-        records = [_verify_worker(task) for task in tasks]
+        records = [verify_graph(graph_id, g, cfg) for graph_id, g in pairs]
     if any(r.internal_failure for r in records):
         return records, 1
     if any(r.counterexample for r in records):
@@ -749,35 +738,37 @@ def sort_records_for_report(records: list[dict]) -> list[dict]:
     return sorted(records, key=key)
 
 
+def csv_table(header: list[str], rows: Iterable[list]) -> str:
+    """CSV text, one newline-ended line per row; None is an empty cell, and a
+    cell is quoted only where needed."""
+    # Imported here because only the CSV formats need it, not every launch.
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 CSV_BASE_COLUMNS = ["graph_id", "n", "d", "alpha", "edge_count", "counterexample", "graph6"]
 
 
 def records_to_csv(records: list[dict]) -> str:
     """Summary table: base stats plus one status column per check name."""
     names = sorted({chk["name"] for rec in records for chk in rec.get("checks", [])})
-    header = CSV_BASE_COLUMNS + names
-    rows = [",".join(header)]
+    rows = []
     for rec in sort_records_for_report(records):
         stats = rec.get("stats") or {}
-        by_name = {chk["name"]: chk for chk in rec.get("checks", [])}
-        cells = [
-            str(rec.get("graph_id", "")),
-            _csv_cell(stats.get("n")),
-            _csv_cell(stats.get("d")),
-            _csv_cell(stats.get("alpha")),
-            _csv_cell(stats.get("edge_count")),
-            "true" if rec.get("counterexample") else "false",
-            str(rec.get("graph6", "")),
-        ]
-        for name in names:
-            chk = by_name.get(name)
-            cells.append(chk["status"] if chk else "")
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
-
-
-def _csv_cell(value) -> str:
-    return "" if value is None else str(value)
+        by_name = {chk["name"]: chk["status"] for chk in rec.get("checks", [])}
+        rows.append(
+            [rec.get("graph_id", "")]
+            + [stats.get(key) for key in ("n", "d", "alpha", "edge_count")]
+            + ["true" if rec.get("counterexample") else "false", str(rec.get("graph6", ""))]
+            + [by_name.get(name, "") for name in names]
+        )
+    return csv_table(CSV_BASE_COLUMNS + names, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -829,17 +820,18 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     return f.stats, reports + cover_count(f), notices
 
 
-def cover_summary(g: Graph, independent_set: int, phi: int | None, cfg: RunConfig) -> dict:
-    """Build a certificate, re-verify it, and attach the cover_count rows."""
+def cover_summary(g: Graph, independent_set: int, cfg: RunConfig) -> dict:
+    """Build a certificate at cfg.phi (None: the per-graph default), re-verify
+    it, and attach the cover_count rows."""
     if not is_independent(g, independent_set):
         raise GraphError(f"set {mask_vertices(independent_set)} is not independent")
     d = g.regular_degree()
     if d is None or d < 2:
         raise GraphError("cover construction requires a d-regular graph with d >= 2")
-    use_phi = phi if phi is not None else cv.phi_default(d)
-    cert = cv.build_cover(g, independent_set, use_phi)
+    phi = cfg.phi if cfg.phi is not None else cv.phi_default(d)
+    cert = cv.build_cover(g, independent_set, phi)
     ok, reason = cv.verify_cover(g, cert)
-    f = GraphFacts("", g, replace(cfg, phi=use_phi), graph_stats(g), independence_polynomial(g))
+    f = GraphFacts("", g, cfg, graph_stats(g), independence_polynomial(g))
     return {
         "certificate": cert.to_dict(),
         "verified": ok,

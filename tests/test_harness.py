@@ -1,5 +1,7 @@
 """Corpus ingestion, named checks, records, reports, and the CLI."""
 
+import csv
+import io
 import json
 import os
 import random
@@ -60,6 +62,9 @@ def test_graph_from_spec_errors():
     for bad in ["cycle:5", "gen:wat:3", "gen:cycle:x", "gen:rr:12:3", "gen:cycle:1"]:
         with pytest.raises(GraphError):
             graph_from_spec(bad)
+    for bad in ["gen:petersen:junk", "gen:petersen:", "gen:union:cycle:3+petersen:zz"]:
+        with pytest.raises(GraphError, match="malformed generator spec"):
+            graph_from_spec(bad)
 
 
 def test_load_inputs_mixed_file(tmp_path):
@@ -83,8 +88,31 @@ def test_load_inputs_reports_offending_line(tmp_path):
 def test_load_inputs_literal_graph6():
     pairs = load_inputs(["Dhc"])
     assert pairs[0][1] == gen_cycle(5)
-    with pytest.raises(GraphError):
+    prefix = "^no-such-file-or-spec: no such file, so read as graph6: "
+    with pytest.raises(GraphError, match=prefix):
         load_inputs(["no-such-file-or-spec"])
+
+
+def test_cli_names_an_argument_that_is_no_file_and_no_graph6(tmp_path, capsys):
+    missing = tmp_path / "missing.g6"
+    assert main(["verify", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {missing}: no such file, so read as graph6: malformed graph6 size header\n"
+    )
+    assert captured.out == ""
+
+
+def test_cli_locates_a_non_ascii_byte_in_a_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"gen:cycle:5\r\nDhc\r\nD\xc3hc\r\n")
+    assert main(["verify", str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {corpus}:3: 'ascii' codec can't decode byte 0xc3 in position 1: "
+        "ordinal not in range(128)\n"
+    )
+    assert captured.out == ""
 
 
 def test_verify_graph_all_pass_on_cycle():
@@ -137,9 +165,11 @@ def test_verify_graph_cap_skips_everything():
 def test_check_subset_selection():
     cfg = RunConfig(checks=("conjecture_counts", "alekseev_weighted"))
     rec = verify_graph("gen:cycle:5", graph_from_spec("gen:cycle:5"), cfg)
+    assert cfg.checks == ("alekseev_weighted", "conjecture_counts")
     assert [c.name for c in rec.checks] == ["alekseev_weighted", "conjecture_counts"]
-    with pytest.raises(ValueError):
-        RunConfig(checks=("no_such_check",)).enabled_checks()
+    assert RunConfig().checks == tuple(CHECKS)
+    with pytest.raises(ValueError, match="unknown checks: no_such_check, bogus"):
+        RunConfig(checks=("alpha_le_half", "no_such_check", "bogus"))
 
 
 def test_run_verify_exit_codes_clean():
@@ -205,6 +235,14 @@ def test_records_to_csv_empty_and_rows():
     assert lines[1].endswith("pass,pass")
 
 
+def test_records_to_csv_quotes_cells_that_need_it():
+    records = [_fake_record("a,b", 5, 2).to_dict(), _fake_record('q"x', 4, 2).to_dict()]
+    rows = list(csv.reader(io.StringIO(records_to_csv(records))))
+    assert len(rows) == 3
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert [row[0] for row in rows[1:]] == ['q"x', "a,b"]
+
+
 def test_report_json_deterministic():
     cfg = RunConfig(orders=4)
     pairs = load_inputs(["gen:rr:12:3:5", "gen:cycle:8"])
@@ -260,17 +298,15 @@ def test_bounds_for_graph_irregular_notice():
 
 
 def test_cover_summary_verified():
-    cfg = RunConfig()
-    out = cover_summary(gen_cycle(5), 0b101, 1, cfg)
+    out = cover_summary(gen_cycle(5), 0b101, RunConfig(phi=1))
     assert out["verified"] and out["reason"] == "ok"
     assert out["certificate"]["seed"] == [0, 2]
     assert all(b["holds_exact"] for b in out["cover_count_bounds"])
 
 
 def test_cover_summary_rejects_dependent_set():
-    cfg = RunConfig()
     with pytest.raises(GraphError) as err:
-        cover_summary(gen_cycle(5), 0b011, 1, cfg)
+        cover_summary(gen_cycle(5), 0b011, RunConfig(phi=1))
     assert "not independent" in str(err.value)
 
 
@@ -634,13 +670,17 @@ def test_cli_cover_certificate_rejects_flags_it_does_not_read(extra, flag, tmp_p
             '{"seed": [0], "envelope": [0], "phi": "2", "independent_set": [0], "trace": [0]}',
             "certificate phi is not an integer",
         ),
+        (
+            "[\u00e9]",
+            "'ascii' codec can't decode byte 0xc3 in position 1: ordinal not in range(128)",
+        ),
     ],
 )
 def test_cli_cover_certificate_rejects_malformed_file_with_located_error(
     text, message, tmp_path, capsys
 ):
     path = tmp_path / "cert.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["cover", "gen:petersen", "--certificate", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -686,6 +726,17 @@ def test_verify_rejects_vacuous_or_ignored_settings(flags, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_verify_rejects_unknown_checks_before_any_graph(tmp_path, capsys):
+    # An empty corpus verifies no graph, so the names are checked up front.
+    corpus = tmp_path / "empty.g6"
+    corpus.write_text("")
+    for inputs in ([str(corpus)], ["gen:cycle:5"]):
+        assert main(["verify", *inputs, "--checks", "alpha_le_half,bogus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown checks: bogus\n"
+        assert captured.out == ""
 
 
 def test_run_config_rejects_an_empty_activity_list():
@@ -997,5 +1048,5 @@ def test_cover_certificate_failure_witness_holds_the_certificate(monkeypatch):
     assert check.witness == {
         "phi": built[0].phi,
         "reason": "rejected",
-        "certificate": json.loads(built[0].to_json()),
+        "certificate": built[0].to_dict(),
     }
