@@ -60,7 +60,7 @@ def _single_graph(spec: str):
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

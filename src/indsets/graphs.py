@@ -2,8 +2,9 @@
 
 Vertices are 0..n-1 and every vertex set (adjacency rows included) is a plain
 int used as a bit mask, so set algebra is integer arithmetic. Graphs are
-immutable once built; generators take explicit seeds and the branch-and-bound
-solver breaks ties by vertex index, so every result here is reproducible.
+immutable once built; generators take explicit seeds and the exact
+independence-number search visits vertices in index order, so every result
+here is reproducible.
 """
 
 from __future__ import annotations
@@ -83,13 +84,6 @@ class Graph:
         if all(row.bit_count() == d for row in self.adj):
             return d
         return None
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for v in range(self.n)
-            for u in mask_vertices(self.adj[v] & ((1 << v) - 1))
-        ]
 
 
 @dataclass(frozen=True)
@@ -338,29 +332,13 @@ def is_independent(g: Graph, bits: int) -> bool:
     return True
 
 
-def _clique_cover_bound(adj: Sequence[int], cand: int) -> int:
-    # Greedy clique partition of the candidate set; each clique contributes at
-    # most one vertex to any independent set.
-    count = 0
-    rem = cand
-    while rem:
-        low = rem & -rem
-        clique = low
-        common = adj[low.bit_length() - 1] & rem
-        while common:
-            u = common & -common
-            clique |= u
-            common &= adj[u.bit_length() - 1]
-        rem &= ~clique
-        count += 1
-    return count
-
-
 def max_degree_vertex(adj: Sequence[int], verts: int, cap: int) -> tuple[int, int]:
     """Lowest-index maximum-degree vertex of the induced subgraph, and its degree.
 
     No degree in the subgraph may exceed `cap`: the scan stops at the first
-    vertex that reaches it, which is the one a full scan would pick.
+    vertex that reaches it, which is the one a full scan would pick. The
+    split engine in `indsets.polynomial` branches on this vertex; degrees
+    cannot grow as its vertex set shrinks, so each branch caps the next scan.
     """
     best = -1
     best_deg = -1
@@ -381,33 +359,45 @@ def max_degree_vertex(adj: Sequence[int], verts: int, cap: int) -> tuple[int, in
 def max_independent_set(g: Graph) -> int:
     """Exact maximum independent set as a bit mask.
 
-    Branch and bound: branch on a maximum-degree vertex of the candidate
-    subgraph (lowest index on ties, include-branch first) and prune with a
-    greedy clique-cover bound, so the returned witness is deterministic.
-    Degrees cannot grow as the candidate set shrinks, so each branch vertex's
-    degree caps its children's scans.
+    Colour-ordered branch and bound: Tomita and Seki's maximum-clique search
+    (MCQ) run on the complement. Each node splits its candidates greedily into
+    cliques of G, lowest remaining vertex first, and branches on them from
+    the last clique back. Before it takes a vertex of clique k, the untried
+    candidates lie in cliques 1..k, so they add at most k vertices: one
+    partition bounds every child of the node. The search follows vertex
+    indices only, so the returned witness is deterministic.
     """
     adj = g.adj
     best_mask = 0
     best_size = 0
 
-    def expand(chosen: int, size: int, cand: int, cap: int):
+    def expand(chosen: int, size: int, cand: int):
         nonlocal best_mask, best_size
-        if cand == 0:
-            if size > best_size:
-                best_size = size
-                best_mask = chosen
-            return
-        if size + cand.bit_count() <= best_size:
-            return
-        if size + _clique_cover_bound(adj, cand) <= best_size:
-            return
-        v, vdeg = max_degree_vertex(adj, cand, cap)
-        vbit = 1 << v
-        expand(chosen | vbit, size + 1, cand & ~vbit & ~adj[v], vdeg)
-        expand(chosen, size, cand & ~vbit, vdeg)
+        if size > best_size:
+            best_size = size
+            best_mask = chosen
+        cliques = []
+        rest = cand
+        while rest:
+            clique = 0
+            grow = rest
+            while grow:
+                low = grow & -grow
+                clique |= low
+                grow &= adj[low.bit_length() - 1]
+            rest ^= clique
+            cliques.append(clique)
+        for k in range(len(cliques), 0, -1):
+            clique = cliques[k - 1]
+            while clique:
+                if size + k <= best_size:
+                    return
+                low = clique & -clique
+                clique ^= low
+                cand ^= low
+                expand(chosen | low, size + 1, cand & ~adj[low.bit_length() - 1])
 
-    expand(0, 0, g.full_mask, g.n)
+    expand(0, 0, g.full_mask)
     return best_mask
 
 

@@ -491,12 +491,21 @@ def verify_graph(graph_id: str, g: Graph, cfg: RunConfig) -> VerificationRecord:
 # ---------------------------------------------------------------------------
 
 
+def _spec_int(field: str, signed: bool = False) -> int:
+    """A descriptor field: ASCII digits, after a leading '-' only if `signed`."""
+    digits = field[1:] if signed and field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"field {field!r} is not {'an' if signed else 'a nonnegative'} integer")
+    return int(field)
+
+
 def graph_from_spec(spec: str) -> Graph:
     """Build a graph from a generator descriptor.
 
     Grammar: gen:cycle:N | gen:complete:N | gen:kdd:D | gen:petersen
            | gen:rr:N:D:SEED | gen:union:PART+PART+... (PART is a descriptor
-           without the gen: prefix).
+           without the gen: prefix). N and D are ASCII digits; SEED may also
+           take a leading '-'.
     """
     if not spec.startswith("gen:"):
         raise GraphError(f"not a generator spec: {spec!r}")
@@ -504,18 +513,18 @@ def graph_from_spec(spec: str) -> Graph:
     kind, sep, rest = body.partition(":")
     try:
         if kind == "cycle":
-            return gen_cycle(int(rest))
+            return gen_cycle(_spec_int(rest))
         if kind == "complete":
-            return gen_complete(int(rest))
+            return gen_complete(_spec_int(rest))
         if kind == "kdd":
-            return gen_complete_bipartite(int(rest))
+            return gen_complete_bipartite(_spec_int(rest))
         if kind == "petersen":
             if sep:
                 raise ValueError(f"petersen takes no fields, got {rest!r}")
             return gen_petersen()
         if kind == "rr":
             n, d, seed = rest.split(":")
-            return gen_random_regular(int(n), int(d), int(seed))
+            return gen_random_regular(_spec_int(n), _spec_int(d), _spec_int(seed, signed=True))
         if kind == "union":
             parts = rest.split("+")
             out = graph_from_spec("gen:" + parts[0])

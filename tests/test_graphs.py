@@ -30,6 +30,7 @@ from indsets.graphs import (
     parse_graph6,
     write_graph6,
 )
+from indsets.polynomial import brute_force_polynomial
 
 
 def brute_alpha(g):
@@ -39,6 +40,18 @@ def brute_alpha(g):
         if is_independent(g, s):
             best = max(best, s.bit_count())
     return best
+
+
+def edge_list(g):
+    """Each edge (u, v) of g once, with u < v."""
+    return [(u, v) for v in range(g.n) for u in mask_vertices(g.adj[v] & ((1 << v) - 1))]
+
+
+def nx_graph(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(edge_list(g))
+    return nxg
 
 
 def random_graph(n, p, seed):
@@ -121,7 +134,7 @@ def test_cycle_and_complete():
 def shortest_cycle(g):
     # BFS from each vertex over explicit edges; good enough for 10 vertices.
     best = None
-    edges = g.edges()
+    edges = edge_list(g)
     for start in range(g.n):
         for u, v in edges:
             # length of shortest u-v path avoiding the edge itself, plus 1
@@ -375,10 +388,7 @@ def test_graph6_round_trip_at_capacity():
         line = write_graph6(g)
         assert line.startswith("~")
         assert parse_graph6(line) == g
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(n))
-        nxg.add_edges_from(g.edges())
-        assert line == nx.to_graph6_bytes(nxg, header=False).decode().strip()
+        assert line == nx.to_graph6_bytes(nx_graph(g), header=False).decode().strip()
 
 
 def test_graph6_rejects_size_beyond_capacity():
@@ -392,10 +402,7 @@ def test_graph6_rejects_size_beyond_capacity():
 @settings(max_examples=40, deadline=None)
 def test_graph6_cross_reference_random(n, seed):
     g = random_graph(n, 0.5, seed)
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(n))
-    nxg.add_edges_from(g.edges())
-    ref = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+    ref = nx.to_graph6_bytes(nx_graph(g), header=False).decode().strip()
     assert write_graph6(g) == ref
 
 
@@ -447,38 +454,37 @@ def test_capped_scan_picks_the_lowest_max_degree_vertex(n, p, seed, slack):
     assert max_degree_vertex(g.adj, verts, top + slack) == want
 
 
-def _mis_full_scan(g):
-    """max_independent_set's search with a full max-degree scan at every node."""
-    best = [0, 0]
-
-    def expand(chosen, size, cand):
-        if cand == 0:
-            if size > best[1]:
-                best[:] = [chosen, size]
-            return
-        if size + cand.bit_count() <= best[1]:
-            return
-        if size + graphs._clique_cover_bound(g.adj, cand) <= best[1]:
-            return
-        v = max(mask_vertices(cand), key=lambda u: ((g.adj[u] & cand).bit_count(), -u))
-        expand(chosen | 1 << v, size + 1, cand & ~(1 << v) & ~g.adj[v])
-        expand(chosen, size, cand & ~(1 << v))
-
-    expand(0, 0, g.full_mask)
-    return best[0]
+def networkx_alpha(g):
+    """Independent oracle: maximum clique of the complement, by networkx."""
+    return nx.max_weight_clique(nx.complement(nx_graph(g)), weight=None)[1]
 
 
-@given(st.integers(0, 20), st.sampled_from([0.15, 0.3, 0.6]), st.integers(0, 10 ** 6))
+@given(st.integers(0, 20), st.sampled_from([0.1, 0.2, 0.35, 0.6]), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
-def test_mis_degree_cap_keeps_the_witness(n, p, seed):
+def test_mis_size_is_the_polynomial_degree(n, p, seed):
     g = random_graph(n, p, seed)
-    assert max_independent_set(g) == _mis_full_scan(g)
+    witness = max_independent_set(g)
+    assert is_independent(g, witness)
+    assert max_independent_set(g) == witness
+    assert witness.bit_count() == brute_force_polynomial(g).degree
 
 
-def test_mis_degree_cap_keeps_the_witness_on_regular_graphs():
-    for n, d, seed in [(24, 3, 1), (24, 4, 2), (20, 5, 3), (40, 3, 4)]:
+@given(st.integers(25, 48), st.sampled_from([0.05, 0.1, 0.2, 0.4]), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_mis_matches_networkx_clique_search(n, p, seed):
+    g = random_graph(n, p, seed)
+    witness = max_independent_set(g)
+    assert is_independent(g, witness)
+    assert witness.bit_count() == networkx_alpha(g)
+
+
+def test_mis_matches_networkx_clique_search_on_regular_graphs():
+    for n, d, seed in [(26, 3, 1), (32, 4, 2), (40, 5, 3), (48, 3, 4), (48, 5, 5)]:
         g = gen_random_regular(n, d, seed)
-        assert max_independent_set(g) == _mis_full_scan(g)
+        witness = max_independent_set(g)
+        assert is_independent(g, witness)
+        assert max_independent_set(g) == witness
+        assert witness.bit_count() == networkx_alpha(g)
 
 
 def test_graph_stats_examples():

@@ -67,6 +67,34 @@ def test_graph_from_spec_errors():
             graph_from_spec(bad)
 
 
+def test_graph_from_spec_fields_are_ascii_digits(tmp_path, capsys):
+    bad = [
+        "gen:cycle:\uff15",
+        "gen:cycle:1_0",
+        "gen:cycle: 7 ",
+        "gen:cycle:+5",
+        "gen:cycle:-3",
+        "gen:kdd:\u0663",
+        "gen:rr:20:3:+1",
+        "gen:rr:20:-3:1",
+        "gen:rr:20:3:-",
+        "gen:union:cycle:1_0",
+    ]
+    for spec in bad:
+        with pytest.raises(GraphError, match="malformed generator spec"):
+            graph_from_spec(spec)
+    assert graph_from_spec("gen:rr:20:3:-4").regular_degree() == 3
+    assert main(["verify", "gen:cycle:\uff15"]) == 1
+    assert capsys.readouterr().err == (
+        "error: malformed generator spec 'gen:cycle:\uff15': "
+        "field '\uff15' is not a nonnegative integer\n"
+    )
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("gen:cycle:5\ngen:cycle:1_0\n")
+    assert main(["verify", str(corpus)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus}:2: malformed generator spec")
+
+
 def test_load_inputs_mixed_file(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("# comment\ngen:cycle:5\n\nDhc\n")
@@ -241,6 +269,24 @@ def test_records_to_csv_quotes_cells_that_need_it():
     assert len(rows) == 3
     assert all(len(row) == len(rows[0]) for row in rows)
     assert [row[0] for row in rows[1:]] == ['q"x', "a,b"]
+
+
+def test_cli_out_files_are_utf8(tmp_path, capsys):
+    # A corpus under a non-ASCII directory gives graph ids that hold it.
+    folder = tmp_path / "\uff15"
+    folder.mkdir()
+    corpus = folder / "corpus.g6"
+    corpus.write_text("gen:petersen\nDhc\n")
+    report = tmp_path / "r.json"
+    assert main(["verify", str(corpus), "--orders", "2", "--out", str(report)]) == 0
+    assert report.read_bytes().isascii()
+    capsys.readouterr()
+    assert main(["report", str(report), "--format", "csv"]) == 0
+    stdout = capsys.readouterr().out
+    assert "\uff15" in stdout
+    out = tmp_path / "r.csv"
+    assert main(["report", str(report), "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode("utf-8")
 
 
 def test_report_json_deterministic():
