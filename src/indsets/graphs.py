@@ -336,9 +336,10 @@ def max_degree_vertex(adj: Sequence[int], verts: int, cap: int) -> tuple[int, in
     """Lowest-index maximum-degree vertex of the induced subgraph, and its degree.
 
     No degree in the subgraph may exceed `cap`: the scan stops at the first
-    vertex that reaches it, which is the one a full scan would pick. The
-    split engine in `indsets.polynomial` branches on this vertex; degrees
-    cannot grow as its vertex set shrinks, so each branch caps the next scan.
+    vertex that reaches it, which is the one a full scan would pick. Its only
+    caller is the split engine in `indsets.polynomial`, which branches on this
+    vertex; degrees cannot grow as the vertex set shrinks, so each branch
+    caps the next scan.
     """
     best = -1
     best_deg = -1
