@@ -51,9 +51,6 @@ from .polynomial import (
     IndependencePolynomial,
     brute_force_polynomial,
     independence_polynomial,
-    kdd_polynomial,
-    kdd_union_polynomial,
-    poly_product,
 )
 
 __version__ = "0.1.0"

@@ -52,7 +52,7 @@ from .graphs import (
     parse_graph6,
     write_graph6,
 )
-from .polynomial import IndependencePolynomial, independence_polynomial, kdd_union_polynomial
+from .polynomial import IndependencePolynomial, _unpack, independence_polynomial
 
 MUST_HOLD = "must_hold"
 CONJECTURE = "conjecture"
@@ -443,7 +443,11 @@ def _conjecture_fixed_size(c: Check, f: GraphFacts) -> CheckResult:
     n, d = f.stats.n, f.stats.d
     if n % (2 * d) != 0:
         return c.skip("2d does not divide n")
-    target = kdd_union_polynomial(n // (2 * d), d)
+    # m copies of K_{d,d} have polynomial (2(1+x)^d - 1)^m. Packed at digit
+    # width n + 1 as in the engine, every power formed on the way is the
+    # polynomial of at most m copies, whose coefficients are at most 2^n, so
+    # no digit carries and the power is exact.
+    target = _unpack(n, (2 * (1 + (1 << n + 1)) ** d - 1) ** (n // (2 * d)))
     for t, count in enumerate(f.poly.coeffs):
         if count > target.coefficient(t):
             return c.result(

@@ -11,7 +11,9 @@ applied to the whole graph and to every component the recurrence reaches:
   vertices that an independent set of the placed ones has a neighbour in.
   Only the set's part on the frontier (the placed vertices that still have
   an unplaced neighbour) blocks anything, so there are at most 2^width
-  blocked sets, and frontier subsets that block the same vertices share one;
+  blocked sets, and frontier subsets that block the same vertices share one.
+  A leaf whose order looks expensive goes along the cheapest of a few
+  greedy orders from other start vertices instead;
 - a wider one takes one step of the vertex recurrence
 
       P(G) = P(G - v) + activity * P(G - v - N(v))
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import inf
 
 from .graphs import Graph, component_masks, mask_of, mask_vertices, max_degree_vertex
 
@@ -49,6 +51,17 @@ MEMO_LIMIT = 1 << 22
 # The 3- to 5-regular graphs with n <= 28 measured so far have width 12 or
 # less, and K_{8,8} has width 13, so each is one DP call.
 DP_MAX_WIDTH = 14
+# Cost estimate (frontier_order) from which a DP leaf also tries greedy
+# orders from ORDER_STARTS other start vertices and takes the cheapest. On
+# the verify_reach benchmark corpus (seeds 4242, 1, 7): over the 64 start
+# vertices of each d = 3, n = 56 or 64 graph the estimate's rank correlation
+# with the DP's state count was 0.81-0.99; thresholds 2^12-2^17 cut the
+# states summed per seed from 2.53M-2.70M to 2.07M-2.26M, and 2^15-2^17 took
+# the least time; 1, 2 and 4 starts took within 1% of each other and 8 took
+# 4% more. No verify_small graph reaches 2^16 (its largest estimate is
+# 33,119 at seed 4242).
+ORDER_SEARCH_COST = 1 << 16
+ORDER_STARTS = 4
 
 
 @dataclass(frozen=True)
@@ -91,14 +104,6 @@ class IndependencePolynomial:
         return Fraction(acc, b**self.degree)
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _unpack(n: int, packed: int) -> IndependencePolynomial:
     shift = n + 1
     digit = (1 << shift) - 1
@@ -110,15 +115,20 @@ def _unpack(n: int, packed: int) -> IndependencePolynomial:
 
 
 def frontier_order(
-    adj, verts: int, limit: int | None = None
-) -> tuple[list[int], int, int]:
-    """Greedy min-frontier order of the subgraph induced by a vertex mask, its width and peak.
+    adj, verts: int, limit: int | None = None, first: int | None = None, budget: float = inf
+) -> tuple[list[int], int, int, int]:
+    """Greedy min-frontier order of the subgraph induced by a vertex mask, its width, peak and cost.
 
     The frontier is the set of placed vertices that still have an unplaced
     neighbour; the width is its largest size after any placement, and the
-    peak is the first frontier of that size, as a vertex mask. Given a
-    `limit`, the order stops as soon as the width exceeds it; it is then
-    partial, and the peak is the first frontier wider than `limit`.
+    peak is the first frontier of that size, as a vertex mask. The cost is
+    the sum of 2^|frontier| over the placements. It bounds the frontier
+    DP's state count summed over its steps along the order, and ranks
+    orders of one graph much as that count does. Given a `limit`, the order
+    stops as soon as the width exceeds it; it is then partial, and the peak
+    is the first frontier wider than `limit`. Given a `budget`, it stops at
+    the first placement whose running cost reaches the budget. Given
+    `first`, that vertex is placed first and every later step is greedy.
 
     Each step places the vertex with the smallest key (frontier size after
     placing it, -(number of its placed neighbours), index). The middle term
@@ -144,11 +154,16 @@ def frontier_order(
         limit = len(adj)
     placed = frontier = peak = 0
     order = []
-    size = width = 0
+    size = width = cost = 0
     while key:
-        grow, _, best = min(key.values())
+        if first is None:
+            grow, _, best = min(key.values())
+        else:
+            grow, _, best = key[first]
+            first = None
         del key[best]
         size += grow
+        cost += 1 << size
         placed |= 1 << best
         order.append(best)
         if left[best]:
@@ -172,21 +187,35 @@ def frontier_order(
             width, peak = size, frontier
             if width > limit:
                 break
-    return order, width, peak
+        if cost >= budget:
+            break
+    return order, width, peak, cost
 
 
 def _frontier_dp(adj, verts: int, order: list[int], shift: int) -> int:
     """Packed independence polynomial of the subgraph induced by `verts`.
 
     The vertices are placed in `order`, a permutation of `verts`, with every
-    adjacency row restricted to `verts`. After each placement, `states` maps
-    each blocked set B, a set of unplaced vertices, to the packed polynomial
-    of the independent sets S of the placed vertices whose unplaced
-    neighbours are exactly B. Placing v visits every state once: if v is in
-    B, no such S can take v, and the state only loses v's bit; otherwise S
-    may leave v out, which keeps the key, or take it, which adds v's
-    unplaced neighbours to the key and one digit to the value. Once every
-    vertex is placed, the one state left is B = 0.
+    adjacency row restricted to `verts`. Before order[i] is placed, `states`
+    maps each blocked set B, a set of unplaced vertices, to the packed
+    polynomial of the independent sets S of the placed vertices whose
+    unplaced neighbours are exactly B. The key holds B relative to the
+    position: its bit j means that order[i + j] is in B. Placing v =
+    order[i] moves every key k on by one position, to k >> 1: if bit 0 is
+    set, v is in B and no such S can take it; otherwise this is S leaving v
+    out. An even key also adds the state where S takes v, with key
+    (k >> 1) | later and its value shifted one digit, where `later` holds
+    v's neighbours placed after it relative to the next position. Once
+    every vertex is placed, the one state left is key 0.
+
+    A relative key reaches only as far as the farthest later neighbour: on
+    the verify_reach benchmark corpus 96-97% of keys fit one 30-bit digit
+    of a Python int (no edge spans more than 53 positions of an order),
+    where masks of 40-64 vertices take two or three; and a state takes one
+    shift where a vertex-mask key took a test and a clear of v's bit. On the
+    same leaves and states this took 21% less time than vertex-mask keys on
+    that corpus, and 0-3% more on the verify_small and single_graph
+    corpora, whose leaves hold few states.
 
     These states are a quotient of independent subsets of the frontier
     (placed vertices with an unplaced neighbour): a vertex of S off the
@@ -194,9 +223,9 @@ def _frontier_dp(adj, verts: int, order: list[int], shift: int) -> int:
     part, and frontier subsets that block the same vertices share a state.
     So there are at most 2^width states and usually far fewer, and a vertex
     that leaves the frontier needs no merge of its own. Each step fills a
-    new dict: updating `states` in place over a snapshot of its items was
-    as fast but raised the verify_reach benchmark's peak memory by 15%
-    instead of 10% at DP_MAX_WIDTH = 14.
+    new dict: with vertex-mask keys, updating `states` in place over a
+    snapshot of its items was as fast but raised the verify_reach
+    benchmark's peak memory by 15% instead of 10% at DP_MAX_WIDTH = 14.
 
     Coefficient t sits at bit offset t * shift, and the caller passes the
     whole graph's shift n + 1 however few vertices `verts` holds. Each digit
@@ -206,29 +235,60 @@ def _frontier_dp(adj, verts: int, order: list[int], shift: int) -> int:
     polynomials of the other components, so products with them stay exact
     as in `_split_engine`.
     """
+    # The bit of a vertex -> the bit of its position in the order.
+    rank = {1 << v: 1 << i for i, v in enumerate(order)}
     unplaced = verts
     states = {0: 1}
-    for v in order:
-        bit = 1 << v
-        unplaced ^= bit
+    for i, v in enumerate(order, 1):
+        unplaced ^= 1 << v
         nb = adj[v] & unplaced
+        later = 0
+        while nb:
+            low = nb & -nb
+            later |= rank[low]
+            nb ^= low
+        later >>= i
         new = {}
-        for blk, p in states.items():
-            if blk & bit:
-                blk ^= bit
+        for k, p in states.items():
+            h = k >> 1
+            if h in new:
+                new[h] += p
             else:
-                if blk in new:
-                    new[blk] += p
-                else:
-                    new[blk] = p
-                blk |= nb
+                new[h] = p
+            if not k & 1:
+                h |= later
                 p <<= shift
-            if blk in new:
-                new[blk] += p
-            else:
-                new[blk] = p
+                if h in new:
+                    new[h] += p
+                else:
+                    new[h] = p
         states = new
     return states[0]
+
+
+def _cheaper_order(adj, verts: int, order: list[int], limit: int, cost: int) -> list[int]:
+    """The cheapest of `order`, of cost `cost`, and greedy orders from far-off start vertices.
+
+    The starts are the first ORDER_STARTS vertices, by index, of the last
+    breadth-first layer around `order[0]`. An order from one of them counts
+    only if it places every vertex within width `limit`; it gives up as soon
+    as its running cost reaches the cheapest cost so far.
+    """
+    seen = layer = 1 << order[0]
+    while True:
+        grown = 0
+        for u in mask_vertices(layer):
+            grown |= adj[u]
+        grown &= verts & ~seen
+        if not grown:
+            break
+        layer = grown
+        seen |= grown
+    for first in mask_vertices(layer)[:ORDER_STARTS]:
+        other, _, _, other_cost = frontier_order(adj, verts, limit, first, cost)
+        if other_cost < cost and len(other) == len(order):
+            order, cost = other, other_cost
+    return order
 
 
 def _split_engine(g: Graph, max_width: int) -> IndependencePolynomial:
@@ -237,11 +297,15 @@ def _split_engine(g: Graph, max_width: int) -> IndependencePolynomial:
     Every component the recurrence reaches, starting with the whole graph,
     is solved the same way. On a memo miss the component's greedy frontier
     order is taken; if its width is at most `max_width`, `_frontier_dp`
-    solves the component along it. Otherwise the vertex recurrence
+    solves the component along it. When that order's cost estimate (see
+    `frontier_order`) is at least ORDER_SEARCH_COST, the DP goes along the
+    cheapest of it and the orders `_cheaper_order` tries instead: only the
+    order within a leaf changes, never which components are leaves or where
+    the recurrence branches. A wider component takes the vertex recurrence
 
         P(G) = P(G - v) + activity * P(G - v - N(v))
 
-    is applied once. The order stops at its first frontier wider than
+    once. The order stops at its first frontier wider than
     `max_width`, and the branch vertex v is the vertex of that frontier with
     the most unplaced neighbours, then the most neighbours in the
     component, then the lowest index. Both residuals lose a vertex of the
@@ -291,8 +355,10 @@ def _split_engine(g: Graph, max_width: int) -> IndependencePolynomial:
         if min((adj[u] & verts).bit_count() for u in mask_vertices(verts)) > max_width:
             v, cap = max_degree_vertex(adj, verts, cap)
         else:
-            order, width, peak = frontier_order(adj, verts, max_width)
+            order, width, peak, cost = frontier_order(adj, verts, max_width)
             if width <= max_width:
+                if cost >= ORDER_SEARCH_COST:
+                    order = _cheaper_order(adj, verts, order, max_width, cost)
                 return remember(verts, _frontier_dp(adj, verts, order, shift))
             unplaced = verts & ~mask_of(order)
             v = max(
@@ -347,29 +413,3 @@ def brute_force_polynomial(g: Graph) -> IndependencePolynomial:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return IndependencePolynomial(g.n, tuple(coeffs))
-
-
-def poly_product(
-    p: IndependencePolynomial, q: IndependencePolynomial
-) -> IndependencePolynomial:
-    """Polynomial of a disjoint union: exact coefficient convolution."""
-    return IndependencePolynomial(p.n + q.n, tuple(_convolve(list(p.coeffs), list(q.coeffs))))
-
-
-def kdd_polynomial(d: int) -> IndependencePolynomial:
-    """Polynomial of K_{d,d}: 2(1+activity)^d - 1, i.e. coefficient 2*C(d,t) for t >= 1."""
-    if d < 1:
-        raise ValueError("side size must be at least 1")
-    return IndependencePolynomial(
-        2 * d, tuple([1] + [2 * comb(d, t) for t in range(1, d + 1)])
-    )
-
-
-def kdd_union_polynomial(m: int, d: int) -> IndependencePolynomial:
-    """Polynomial of m disjoint copies of K_{d,d} via repeated convolution."""
-    if m < 1:
-        raise ValueError("need at least one copy")
-    out = kdd_polynomial(d)
-    for _ in range(m - 1):
-        out = poly_product(out, kdd_polynomial(d))
-    return out

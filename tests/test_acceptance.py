@@ -34,10 +34,9 @@ from indsets.graphs import (
 )
 from indsets.harness import random_maximal_independent_set
 from indsets.polynomial import (
+    IndependencePolynomial,
     brute_force_polynomial,
     independence_polynomial,
-    kdd_union_polynomial,
-    poly_product,
 )
 
 LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(2))
@@ -47,6 +46,24 @@ def _criterion(label, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"[{'PASS' if ok else 'FAIL'}] {label}{suffix}")
     assert ok, f"{label}{suffix}"
+
+
+def poly_product(p, q):
+    """Polynomial of a disjoint union: the coefficient convolution."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return IndependencePolynomial(p.n + q.n, tuple(out))
+
+
+def kdd_union_polynomial(m, d):
+    """Polynomial of m disjoint copies of K_{d,d}: (2(1 + x)^d - 1)^m by convolution."""
+    kdd = IndependencePolynomial(2 * d, (1, *(2 * math.comb(d, t) for t in range(1, d + 1))))
+    out = kdd
+    for _ in range(m - 1):
+        out = poly_product(out, kdd)
+    return out
 
 
 def _holds(report, value):

@@ -817,6 +817,24 @@ def test_fixed_size_check_is_exact_at_the_threshold():
     assert res.witness["t"] == 2 and res.witness["count"] == "292"
 
 
+def test_conjecture_fixed_size_targets_the_kdd_union():
+    # Two copies of K_{3,3}: the target is (2(1+x)^3 - 1)^2, the square of
+    # (1, 6, 6, 2) by convolution. Meeting it passes; one set more of any
+    # size t >= 2 fails at t with the target coefficient as the extremal one.
+    g = graph_from_spec("gen:union:kdd:3+kdd:3")
+    kdd = (1, 6, 6, 2)
+    target = [sum(kdd[i] * kdd[t - i] for i in range(4) if 0 <= t - i < 4) for t in range(7)]
+    assert target == [1, 12, 48, 76, 60, 24, 4] and sum(target) == 15**2
+    stats = graph_stats(g)
+    check = CHECKS["conjecture_fixed_size"]
+    assert check(GraphFacts("u", g, RunConfig(), stats, IndependencePolynomial(12, tuple(target)))).status == "pass"
+    for t in range(2, 7):
+        above = IndependencePolynomial(12, tuple(c + (i == t) for i, c in enumerate(target)))
+        res = check(GraphFacts("u", g, RunConfig(), stats, above))
+        assert res.status == "fail"
+        assert res.witness == {"t": t, "count": str(target[t] + 1), "extremal": str(target[t])}
+
+
 def test_kahn_rows_are_decided_at_the_threshold(monkeypatch):
     # n=10, d=3: Kahn's bound is 2^(50/6) = 322.54..., so a Petersen-shaped
     # polynomial with count 322 meets both Kahn rows at activity 1 and 323

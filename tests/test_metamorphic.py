@@ -11,12 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indsets.graphs import build_graph, disjoint_union, mask_vertices, parse_graph6, write_graph6
-from indsets.polynomial import independence_polynomial, poly_product
+from indsets.polynomial import IndependencePolynomial, independence_polynomial
 
 
 def random_graph(n, p, rng):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return build_graph(n, edges)
+
+
+def poly_product(p, q):
+    """Polynomial of a disjoint union: the coefficient convolution."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return IndependencePolynomial(p.n + q.n, tuple(out))
 
 
 def relabel(g, perm):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from indsets import polynomial
 from indsets.graphs import (
     build_graph,
+    component_masks,
     disjoint_union,
     gen_complete,
     gen_complete_bipartite,
@@ -29,10 +30,29 @@ from indsets.polynomial import (
     brute_force_polynomial,
     frontier_order,
     independence_polynomial,
-    kdd_polynomial,
-    kdd_union_polynomial,
-    poly_product,
 )
+
+
+def poly_product(p, q):
+    """Polynomial of a disjoint union: the coefficient convolution."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return IndependencePolynomial(p.n + q.n, tuple(out))
+
+
+def kdd_polynomial(d):
+    """Polynomial of K_{d,d}: 2(1 + x)^d - 1."""
+    return IndependencePolynomial(2 * d, (1, *(2 * comb(d, t) for t in range(1, d + 1))))
+
+
+def kdd_union_polynomial(m, d):
+    """Polynomial of m disjoint copies of K_{d,d}, by repeated convolution."""
+    out = kdd_polynomial(d)
+    for _ in range(m - 1):
+        out = poly_product(out, kdd_polynomial(d))
+    return out
 
 
 def _dp(g):
@@ -265,6 +285,17 @@ def test_small_memo_limit_matches_default(n, p, seed, memo_limit):
         assert full == brute_force_polynomial(g)
 
 
+def test_frontier_dp_on_c64_in_index_order():
+    # Along 0..63 vertex 0's neighbour 63 lies 62 places ahead, so the
+    # order-relative keys span more than one 30-bit digit of a Python int.
+    n = 64
+    g = gen_cycle(n)
+    packed = polynomial._frontier_dp(g.adj, g.full_mask, list(range(n)), n + 1)
+    expected = tuple([1] + [n * comb(n - k, k) // (n - k) for k in range(1, n // 2 + 1)])
+    assert _unpack(n, packed).coeffs == expected
+    assert sum(expected) == 23725150497407  # the Lucas number L_64
+
+
 # The split engine behind independence_polynomial branches with the vertex
 # recurrence until each component's greedy frontier order fits the width
 # limit, then runs the frontier DP along it. A small forced limit exercises
@@ -342,35 +373,65 @@ def _naive_frontier(adj, verts, placed):
     return {u for u in placed if any(adj[u] >> w & 1 for w in unplaced)}
 
 
+def _greedy_frontiers(g, verts, order, forced=0):
+    """Frontiers along `order`, asserting each step after the first `forced` is the greedy choice."""
+    members = [v for v in range(g.n) if verts >> v & 1]
+    placed = set()
+    frontiers = [set()]
+    for i, v in enumerate(order):
+        def key(u):
+            nbrs_placed = sum(g.adj[u] >> w & 1 for w in placed)
+            return (len(_naive_frontier(g.adj, verts, placed | {u})), -nbrs_placed, u)
+
+        if i >= forced:
+            assert key(v) == min(key(u) for u in members if u not in placed)
+        placed.add(v)
+        frontiers.append(_naive_frontier(g.adj, verts, placed))
+    return frontiers
+
+
 @given(graphs(20), st.integers(0, 2**20 - 1), st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
 def test_frontier_order_is_the_greedy_min_frontier_order(g, mask, limit):
     for verts in (g.full_mask, g.full_mask & mask):
         members = [v for v in range(g.n) if verts >> v & 1]
-        order, width, peak = frontier_order(g.adj, verts)
+        order, width, peak, cost = frontier_order(g.adj, verts)
         assert sorted(order) == members
-        placed = set()
-        frontiers = [set()]
-        for v in order:
-            def key(u):
-                nbrs_placed = sum(g.adj[u] >> w & 1 for w in placed)
-                return (len(_naive_frontier(g.adj, verts, placed | {u})), -nbrs_placed, u)
-
-            assert key(v) == min(key(u) for u in members if u not in placed)
-            placed.add(v)
-            frontiers.append(_naive_frontier(g.adj, verts, placed))
+        frontiers = _greedy_frontiers(g, verts, order)
         assert width == max(map(len, frontiers))
         assert {v for v in range(g.n) if peak >> v & 1} == next(
             f for f in frontiers if len(f) == width
         )
+        # The cost estimate sums 2^|frontier| over the placements.
+        assert cost == sum(2 ** len(f) for f in frontiers[1:])
         # With a limit the order stops at the first frontier wider than it.
-        part, part_width, part_peak = frontier_order(g.adj, verts, limit)
+        part, part_width, part_peak, part_cost = frontier_order(g.adj, verts, limit)
         if width <= limit:
-            assert (part, part_width, part_peak) == (order, width, peak)
+            assert (part, part_width, part_peak, part_cost) == (order, width, peak, cost)
         else:
             k = next(i for i, f in enumerate(frontiers) if len(f) > limit)
             assert part == order[:k] and part_width == limit + 1
             assert {v for v in range(g.n) if part_peak >> v & 1} == frontiers[k]
+            assert part_cost == sum(2 ** len(f) for f in frontiers[1 : k + 1])
+
+
+@given(graphs(20), st.data())
+@settings(max_examples=40, deadline=None)
+def test_frontier_order_from_a_forced_first_vertex(g, data):
+    if not g.n:
+        return
+    first = data.draw(st.integers(0, g.n - 1))
+    order, width, _, cost = frontier_order(g.adj, g.full_mask, None, first)
+    # The forced vertex comes first; every later step is the greedy choice.
+    assert order[0] == first and sorted(order) == list(range(g.n))
+    frontiers = _greedy_frontiers(g, g.full_mask, order, forced=1)
+    running = [sum(2 ** len(f) for f in frontiers[1 : k + 1]) for k in range(g.n + 1)]
+    assert width == max(map(len, frontiers)) and cost == running[-1]
+    # A budget ends the order at the first placement whose running cost reaches it.
+    budget = data.draw(st.integers(1, cost + 1))
+    part, _, _, part_cost = frontier_order(g.adj, g.full_mask, None, first, budget)
+    k = next((k for k in range(1, g.n + 1) if running[k] >= budget), g.n)
+    assert part == order[:k] and part_cost == running[k]
 
 
 def test_routing_by_width(monkeypatch):
@@ -430,3 +491,69 @@ def test_routing_by_width(monkeypatch):
     )
     independence_polynomial(wide)
     assert seen == [DP_MAX_WIDTH]
+
+
+@given(graphs(20))
+@settings(max_examples=40, deadline=None)
+def test_cheaper_order_takes_only_complete_cheaper_orders(g):
+    if g.n < 2:
+        return
+    order, width, _, cost = frontier_order(g.adj, g.full_mask)
+    # Below the order's own width a try can stop partway; it must not count.
+    for limit in range(width + 1):
+        for budget in (cost, 2 ** (g.n + 1) * g.n):
+            got = polynomial._cheaper_order(g.adj, g.full_mask, order, limit, budget)
+            if got != order:
+                other, other_width, _, other_cost = frontier_order(g.adj, g.full_mask, None, got[0])
+                assert got == other and other_width <= limit and other_cost < budget
+
+
+def _leaves_and_branches(monkeypatch, g):
+    """DP leaves (vertex mask -> order) and branch vertices of one engine run.
+
+    A branch at v on component C solves the residual C - v first, so each
+    branch vertex is the one vertex by which a component the engine solved
+    exceeds a mask passed to `component_masks`.
+    """
+    leaves, residuals, comps = {}, set(), {g.full_mask}
+    dp, split = polynomial._frontier_dp, component_masks
+
+    def spy_dp(adj, verts, order, shift):
+        leaves[verts] = list(order)
+        return dp(adj, verts, order, shift)
+
+    def spy_split(adj, verts):
+        residuals.add(verts)
+        out = split(adj, verts)
+        comps.update(out)
+        return out
+
+    monkeypatch.setattr(polynomial, "_frontier_dp", spy_dp)
+    monkeypatch.setattr(polynomial, "component_masks", spy_split)
+    poly = independence_polynomial(g)
+    branches = {
+        (c, (c ^ r).bit_length() - 1)
+        for c in comps - leaves.keys()
+        if c & (c - 1)
+        for r in residuals
+        if r & c == r and (c ^ r).bit_count() == 1
+    }
+    return poly, leaves, branches
+
+
+def test_leaf_orders_move_no_leaf_and_no_branch():
+    changed = branched = 0
+    for spec in ("gen:rr:48:5:1", "gen:rr:64:3:6"):
+        g = graph_from_spec(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polynomial, "ORDER_SEARCH_COST", inf)
+            plain = _leaves_and_branches(mp, g)
+        with pytest.MonkeyPatch.context() as mp:
+            ranked = _leaves_and_branches(mp, g)
+        assert plain[0] == ranked[0]
+        assert plain[1].keys() == ranked[1].keys() and plain[2] == ranked[2]
+        changed += sum(plain[1][c] != ranked[1][c] for c in plain[1])
+        branched += len(ranked[2])
+    # gen:rr:48:5:1 is branched on, and some of its leaves cost past the
+    # threshold and take another order; gen:rr:64:3:6 is one leaf.
+    assert changed > 0 and branched > 0
