@@ -45,10 +45,17 @@ def _config_from_args(args) -> RunConfig:
     names = ("phi", "seed", "cap", "orders", "jobs")
     kwargs = {name: given[name] for name in names if name in given}
     if given.get("lambdas"):
-        kwargs["lambdas"] = tuple(Fraction(s) for s in given["lambdas"])
+        kwargs["lambdas"] = tuple(map(_activity, given["lambdas"]))
     if given.get("checks") is not None:
         kwargs["checks"] = tuple(s for s in given["checks"].split(",") if s)
     return RunConfig(**kwargs)
+
+
+def _activity(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed --lambda value {text!r}") from exc
 
 
 def _single_graph(spec: str):
@@ -134,7 +141,8 @@ def cmd_cover(args) -> int:
         _emit(json.dumps({"graph_id": graph_id, "verified": ok, "reason": reason}), args.out)
         return 0 if ok else 1
     try:
-        vertices = [int(s) for s in args.set.split(",")] if args.set else []
+        entries = args.set.split(",") if args.set else []
+        vertices = [harness._spec_int(s, signed=True) for s in entries]
     except ValueError as exc:
         raise GraphError(f"malformed --set value {args.set!r}") from exc
     for v in vertices:
@@ -150,7 +158,7 @@ def cmd_report(args) -> int:
     try:
         with open(args.records, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{args.records}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{args.records}: top level is not a JSON object")

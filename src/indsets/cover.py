@@ -60,7 +60,10 @@ class CoverCertificate:
 
         Raises ValueError naming the first field of the wrong shape.
         """
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError(str(exc)) from exc
         if not isinstance(obj, dict):
             raise ValueError("certificate is not a JSON object")
         for key in ("seed", "envelope", "independent_set", "trace"):

@@ -332,31 +332,6 @@ def is_independent(g: Graph, bits: int) -> bool:
     return True
 
 
-def max_degree_vertex(adj: Sequence[int], verts: int, cap: int) -> tuple[int, int]:
-    """Lowest-index maximum-degree vertex of the induced subgraph, and its degree.
-
-    No degree in the subgraph may exceed `cap`: the scan stops at the first
-    vertex that reaches it, which is the one a full scan would pick. Its only
-    caller is the split engine in `indsets.polynomial`, which branches on this
-    vertex; degrees cannot grow as the vertex set shrinks, so each branch
-    caps the next scan.
-    """
-    best = -1
-    best_deg = -1
-    rest = verts
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        deg = (adj[v] & verts).bit_count()
-        if deg > best_deg:
-            best_deg = deg
-            best = v
-            if deg == cap:
-                break
-    return best, best_deg
-
-
 def max_independent_set(g: Graph) -> int:
     """Exact maximum independent set as a bit mask.
 

@@ -612,15 +612,11 @@ def indented_json(obj) -> str:
 
     With `indent` set, json runs its pure-Python encoder; this writer emits the
     same text from one recursive pass over str-keyed dicts, lists, tuples,
-    str, bool, None, int and float. Any other key or value type (or nesting
-    too deep to recurse) hands the whole object to json.dumps, so errors and
-    unusual inputs behave as they do there.
+    str, bool, None, int and float. Any other key or value type raises
+    TypeError.
     """
     out: list[str] = []
-    try:
-        _write_json(obj, out, "\n")
-    except (TypeError, RecursionError):
-        return json.dumps(obj, indent=2, sort_keys=True)
+    _write_json(obj, out, "\n")
     return "".join(out)
 
 
@@ -660,7 +656,7 @@ def _write_json(o, out: list[str], nl: str):
         head = "{" + inner
         for key in sorted(o):
             if not isinstance(key, str):
-                raise TypeError("non-str key")
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(head)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
@@ -668,7 +664,7 @@ def _write_json(o, out: list[str], nl: str):
             _write_json(o[key], out, inner)
         out.append(nl + "}")
     else:
-        raise TypeError(f"no direct form for {type(o).__name__}")
+        raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def report_json(records: list[VerificationRecord], cfg: RunConfig) -> str:

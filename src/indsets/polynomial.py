@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .graphs import Graph, component_masks, mask_of, mask_vertices, max_degree_vertex
+from .graphs import Graph, component_masks, mask_of, mask_vertices
 
 BRUTE_FORCE_LIMIT = 24
 # Most component masks the split engine's memo stores in one call. Residual
@@ -319,10 +319,9 @@ def _split_engine(g: Graph, max_width: int) -> IndependencePolynomial:
     No order is narrower than the component's minimum degree: just before
     the last vertex is placed, all of its neighbours are on the frontier. A
     component whose minimum degree exceeds `max_width` therefore takes no
-    order and is branched on at a maximum-degree vertex (lowest index on
-    ties); a negative `max_width` leaves this pure recurrence everywhere.
-    Degrees cannot grow in an induced subgraph, so each such branch
-    vertex's degree caps the scans of its children.
+    order, and the same rule picks v from the whole component with every
+    vertex unplaced: its lowest-index maximum-degree vertex. A negative
+    `max_width` leaves this pure recurrence everywhere.
 
     Each polynomial is packed into one int, coefficient t at bit offset
     t * (n + 1) for n = g.n (Kronecker substitution x = 2^(n+1)), DP leaves
@@ -339,41 +338,40 @@ def _split_engine(g: Graph, max_width: int) -> IndependencePolynomial:
     one_plus_x = 1 | (1 << shift)
     memo: dict[int, int] = {}
 
-    def solve(verts: int, cap: int) -> int:
+    def solve(verts: int) -> int:
         packed = 1
         for comp in component_masks(adj, verts):
             if comp & (comp - 1) == 0:
                 packed *= one_plus_x
             else:
-                packed *= solve_component(comp, cap)
+                packed *= solve_component(comp)
         return packed
 
-    def solve_component(verts: int, cap: int) -> int:
+    def solve_component(verts: int) -> int:
         cached = memo.get(verts)
         if cached is not None:
             return cached
-        if min((adj[u] & verts).bit_count() for u in mask_vertices(verts)) > max_width:
-            v, cap = max_degree_vertex(adj, verts, cap)
-        else:
+        peak = unplaced = verts
+        if min((adj[u] & verts).bit_count() for u in mask_vertices(verts)) <= max_width:
             order, width, peak, cost = frontier_order(adj, verts, max_width)
             if width <= max_width:
                 if cost >= ORDER_SEARCH_COST:
                     order = _cheaper_order(adj, verts, order, max_width, cost)
                 return remember(verts, _frontier_dp(adj, verts, order, shift))
             unplaced = verts & ~mask_of(order)
-            v = max(
-                mask_vertices(peak),
-                key=lambda u: ((adj[u] & unplaced).bit_count(), (adj[u] & verts).bit_count(), -u),
-            )
+        v = max(
+            mask_vertices(peak),
+            key=lambda u: ((adj[u] & unplaced).bit_count(), (adj[u] & verts).bit_count(), -u),
+        )
         rest = verts & ~(1 << v)
-        return remember(verts, solve(rest, cap) + (solve(rest & ~adj[v], cap) << shift))
+        return remember(verts, solve(rest) + (solve(rest & ~adj[v]) << shift))
 
     def remember(verts: int, packed: int) -> int:
         if len(memo) < MEMO_LIMIT:
             memo[verts] = packed
         return packed
 
-    packed = solve_component(g.full_mask, g.n) if g.n else 1
+    packed = solve_component(g.full_mask) if g.n else 1
     # solve and solve_component reach each other through closure cells, a
     # cycle that would keep the memo alive until the cyclic collector runs.
     memo.clear()

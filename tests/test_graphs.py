@@ -25,7 +25,6 @@ from indsets.graphs import (
     is_union_of_equal_cliques,
     mask_of,
     mask_vertices,
-    max_degree_vertex,
     max_independent_set,
     parse_graph6,
     write_graph6,
@@ -436,22 +435,6 @@ def test_mis_deterministic_witness():
 def test_mis_matches_brute_force(n, p, seed):
     g = random_graph(n, p, seed)
     assert max_independent_set(g).bit_count() == brute_alpha(g)
-
-
-@given(
-    st.integers(1, 20),
-    st.sampled_from([0.15, 0.3, 0.6]),
-    st.integers(0, 10 ** 6),
-    st.integers(0, 3),
-)
-@settings(max_examples=60, deadline=None)
-def test_capped_scan_picks_the_lowest_max_degree_vertex(n, p, seed, slack):
-    g = random_graph(n, p, seed)
-    verts = random.Random(seed).getrandbits(n) or 1
-    degrees = {v: (g.adj[v] & verts).bit_count() for v in mask_vertices(verts)}
-    top = max(degrees.values())
-    want = (min(v for v, deg in degrees.items() if deg == top), top)
-    assert max_degree_vertex(g.adj, verts, top + slack) == want
 
 
 def networkx_alpha(g):

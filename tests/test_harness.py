@@ -506,6 +506,27 @@ def test_cli_report_rejects_malformed_file_with_located_error(text, message, tmp
         assert captured.err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["report"], ["cover", "gen:petersen", "--certificate"]], ids=["report", "cover"]
+)
+def test_cli_rejects_deeply_nested_json_with_located_error(argv, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000)
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: maximum recursion depth exceeded")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_cli_rejects_a_malformed_activity_naming_lambda(value, capsys):
+    assert main(["poly", "gen:cycle:5", "--lambda", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed --lambda value {value!r}\n"
+
+
 @pytest.mark.parametrize("phi", ["0", "9"])
 def test_cli_bounds_phi_out_of_range_notice(phi, tmp_path, capsys):
     argv = ["bounds", "gen:petersen", "--lambda", "1"]
@@ -574,6 +595,15 @@ def test_cli_cover_rejects_set_outside_graph(capsys, spec, vertices, bad, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --set vertex {bad} out of range 0..n-1 for n={n}\n"
+
+
+@pytest.mark.parametrize("vertices", ["1_0", "\uff10", "0,+2", " 4"])
+def test_cli_cover_set_takes_ascii_digits_only(capsys, vertices):
+    # int() would read these as vertices 10, 0, 2 and 4 of C_12.
+    assert main(["cover", "gen:cycle:12", "--set", vertices]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed --set value {vertices!r}\n"
 
 
 @pytest.fixture
@@ -1030,30 +1060,21 @@ def test_indented_json_edge_values():
         assert harness.indented_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-def test_indented_json_falls_back_to_json_on_other_types(monkeypatch):
-    calls = []
-    dumps = json.dumps
-
-    def spy(obj, **kwargs):
-        calls.append(obj)
-        return dumps(obj, **kwargs)
-
-    monkeypatch.setattr(harness.json, "dumps", spy)
-    # A non-str key takes the fallback, which writes it as json does.
-    obj = {"a": [1, {2: "two", 3.5: None}]}
-    assert harness.indented_json(obj) == dumps(obj, indent=2, sort_keys=True)
-    assert calls == [obj]
-    # A value json cannot write raises json's own TypeError.
-    with pytest.raises(TypeError) as mine:
-        harness.indented_json({"x": [Fraction(1, 3)]})
-    with pytest.raises(TypeError) as theirs:
-        dumps({"x": [Fraction(1, 3)]}, indent=2, sort_keys=True)
-    assert str(mine.value) == str(theirs.value)
-    # So does a circular reference: json's ValueError, not a RecursionError.
-    loop: list = []
-    loop.append(loop)
-    with pytest.raises(ValueError, match="Circular reference detected"):
-        harness.indented_json(loop)
+def test_indented_json_raises_type_error_on_other_types():
+    # Every report holds str keys and JSON scalars, lists and dicts only, so
+    # the writer has no fallback: anything else is a TypeError, including
+    # the non-str keys that json.dumps would coerce.
+    for obj in (
+        {"a": [1, {2: "two"}]},
+        {1.5: None},
+        {True: 1},
+        {"a": 1, 2: 3},
+        {"x": [Fraction(1, 3)]},
+        {"s": {1, 2}},
+        [b"bytes"],
+    ):
+        with pytest.raises(TypeError):
+            harness.indented_json(obj)
 
 
 # ---------------------------------------------------------------------------

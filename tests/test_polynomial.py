@@ -18,7 +18,7 @@ from indsets.graphs import (
     gen_cycle,
     gen_petersen,
     gen_random_regular,
-    max_degree_vertex,
+    mask_vertices,
     max_independent_set,
 )
 from indsets.harness import graph_from_spec
@@ -194,22 +194,15 @@ def test_invariant_validation():
 
 
 def test_memo_limit_zero_still_correct(monkeypatch):
-    branches = []
-    branch = polynomial.max_degree_vertex
-
-    def spy(adj, verts, cap):
-        branches.append(verts)
-        return branch(adj, verts, cap)
-
-    monkeypatch.setattr(polynomial, "max_degree_vertex", spy)
     g = gen_petersen()
-    assert _recurrence(g).coeffs == (1, 10, 30, 30, 5)
+    poly, _, branches = _leaves_and_branches(g, -1)
+    assert poly.coeffs == (1, 10, 30, 30, 5)
     remembered = len(branches)
     assert len(set(branches)) == remembered
     # With no room in the memo every repeated component is solved again.
     monkeypatch.setattr(polynomial, "MEMO_LIMIT", 0)
-    branches.clear()
-    assert _recurrence(g).coeffs == (1, 10, 30, 30, 5)
+    poly, _, branches = _leaves_and_branches(g, -1)
+    assert poly.coeffs == (1, 10, 30, 30, 5)
     assert len(branches) > remembered and len(set(branches)) < len(branches)
     assert _split_engine(g, 2).coeffs == (1, 10, 30, 30, 5)
 
@@ -436,7 +429,7 @@ def test_frontier_order_from_a_forced_first_vertex(g, data):
 
 def test_routing_by_width(monkeypatch):
     calls = []
-    order, dp, branch = polynomial.frontier_order, polynomial._frontier_dp, max_degree_vertex
+    order, dp, split = polynomial.frontier_order, polynomial._frontier_dp, component_masks
 
     def spy_order(adj, verts, limit):
         result = order(adj, verts, limit)
@@ -447,13 +440,13 @@ def test_routing_by_width(monkeypatch):
         calls.append("dp")
         return dp(adj, verts, order, shift)
 
-    def spy_branch(adj, verts, cap):
-        calls.append("branch")
-        return branch(adj, verts, cap)
+    def spy_split(adj, verts):
+        calls.append("split")
+        return split(adj, verts)
 
     monkeypatch.setattr(polynomial, "frontier_order", spy_order)
     monkeypatch.setattr(polynomial, "_frontier_dp", spy_dp)
-    monkeypatch.setattr(polynomial, "max_degree_vertex", spy_branch)
+    monkeypatch.setattr(polynomial, "component_masks", spy_split)
 
     narrow = gen_petersen()
     assert independence_polynomial(narrow).total() == 76
@@ -461,11 +454,12 @@ def test_routing_by_width(monkeypatch):
     assert width <= DP_MAX_WIDTH and dp_call == "dp"
 
     # No order of K_m is narrower than its minimum degree m - 1, so K_(T+2)
-    # is branched on without one, and the K_(T+1) left fits.
+    # is branched on without one: its residual K_(T+1) fits, and the other
+    # residual is empty.
     calls.clear()
     wide = gen_complete(DP_MAX_WIDTH + 2)
     assert independence_polynomial(wide).coeffs == (1, DP_MAX_WIDTH + 2)
-    assert calls == ["branch", ("order", DP_MAX_WIDTH), "dp"]
+    assert calls == ["split", ("order", DP_MAX_WIDTH), "dp", "split"]
 
     # Several levels of branches before the leaves fit: an order that ends
     # wider than the limit is a branch at its peak frontier, and each DP
@@ -475,7 +469,7 @@ def test_routing_by_width(monkeypatch):
     calls.clear()
     assert _split_engine(g, 4) == expected
     widths = [call[1] for call in calls if isinstance(call, tuple)]
-    assert calls[0] == "branch" and max(widths) > 4
+    assert calls[0] == "split" and max(widths) > 4
     assert calls.count("dp") == sum(w <= 4 for w in widths) > 1
     for before, call in zip(calls, calls[1:]):
         assert call != "dp" or before[1] <= 4
@@ -483,7 +477,7 @@ def test_routing_by_width(monkeypatch):
     # The pure recurrence takes no order at all.
     calls.clear()
     assert _recurrence(wide).coeffs == (1, DP_MAX_WIDTH + 2)
-    assert calls and set(calls) == {"branch"}
+    assert calls and set(calls) == {"split"}
 
     seen = []
     monkeypatch.setattr(
@@ -508,37 +502,75 @@ def test_cheaper_order_takes_only_complete_cheaper_orders(g):
                 assert got == other and other_width <= limit and other_cost < budget
 
 
-def _leaves_and_branches(monkeypatch, g):
-    """DP leaves (vertex mask -> order) and branch vertices of one engine run.
+def _leaves_and_branches(g, max_width):
+    """`_split_engine(g, max_width)`, its DP leaves and the components it branched on.
 
-    A branch at v on component C solves the residual C - v first, so each
-    branch vertex is the one vertex by which a component the engine solved
-    exceeds a mask passed to `component_masks`.
+    Returns the polynomial, the DP leaves (vertex mask -> order) and the
+    branches as (component, branch vertex) in the order taken. A component
+    the engine solves is a memo hit, a DP leaf, or a branch at v:
+    `component_masks` gets the first residual C - v, the calls for that
+    residual's components follow, and then comes C - N[v]. Replaying that
+    walk over the recorded calls, with the engine's memo rule, recovers each
+    v from its first residual.
     """
-    leaves, residuals, comps = {}, set(), {g.full_mask}
+    calls, leaves = [], {}
     dp, split = polynomial._frontier_dp, component_masks
 
     def spy_dp(adj, verts, order, shift):
+        calls.append((verts, None))
         leaves[verts] = list(order)
         return dp(adj, verts, order, shift)
 
     def spy_split(adj, verts):
-        residuals.add(verts)
-        out = split(adj, verts)
-        comps.update(out)
-        return out
+        calls.append((verts, split(adj, verts)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(polynomial, "_frontier_dp", spy_dp)
-    monkeypatch.setattr(polynomial, "component_masks", spy_split)
-    poly = independence_polynomial(g)
-    branches = {
-        (c, (c ^ r).bit_length() - 1)
-        for c in comps - leaves.keys()
-        if c & (c - 1)
-        for r in residuals
-        if r & c == r and (c ^ r).bit_count() == 1
-    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomial, "_frontier_dp", spy_dp)
+        mp.setattr(polynomial, "component_masks", spy_split)
+        poly = _split_engine(g, max_width)
+    it, solved, branches = iter(calls), set(), []
+
+    def walk(comps):
+        for comp in comps:
+            if comp & (comp - 1) and comp not in solved:
+                replay(comp)
+
+    def replay(c):
+        rest, comps = next(it)
+        if comps is None:
+            assert rest == c
+        else:
+            assert rest & c == rest and (c ^ rest).bit_count() == 1
+            v = (c ^ rest).bit_length() - 1
+            branches.append((c, v))
+            walk(comps)
+            second, comps = next(it)
+            assert second == rest & ~g.adj[v] and comps is not None
+            walk(comps)
+        if len(solved) < polynomial.MEMO_LIMIT:
+            solved.add(c)
+
+    if g.n:
+        replay(g.full_mask)
+    assert next(it, None) is None
     return poly, leaves, branches
+
+
+@given(
+    st.integers(0, 20),
+    st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+    st.integers(0, 10**6),
+    st.sampled_from([-1, 2, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_dense_components_branch_at_the_lowest_max_degree_vertex(n, p, seed, max_width):
+    g = random_graph(n, p, seed)
+    for c, v in _leaves_and_branches(g, max_width)[2]:
+        degree = {u: (g.adj[u] & c).bit_count() for u in mask_vertices(c)}
+        if min(degree.values()) > max_width:
+            top = max(degree.values())
+            assert v == min(u for u, d in degree.items() if d == top)
 
 
 def test_leaf_orders_move_no_leaf_and_no_branch():
@@ -547,9 +579,8 @@ def test_leaf_orders_move_no_leaf_and_no_branch():
         g = graph_from_spec(spec)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polynomial, "ORDER_SEARCH_COST", inf)
-            plain = _leaves_and_branches(mp, g)
-        with pytest.MonkeyPatch.context() as mp:
-            ranked = _leaves_and_branches(mp, g)
+            plain = _leaves_and_branches(g, DP_MAX_WIDTH)
+        ranked = _leaves_and_branches(g, DP_MAX_WIDTH)
         assert plain[0] == ranked[0]
         assert plain[1].keys() == ranked[1].keys() and plain[2] == ranked[2]
         changed += sum(plain[1][c] != ranked[1][c] for c in plain[1])
