@@ -52,7 +52,10 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _activity(text: str) -> Fraction:
+    # Fraction also reads non-ASCII digits and "_" separators; take neither.
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed --lambda value {text!r}") from exc
@@ -158,20 +161,21 @@ def cmd_report(args) -> int:
     try:
         with open(args.records, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{args.records}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{args.records}: top level is not a JSON object")
-    records = doc.get("records", [])
-    try:
+        if not isinstance(doc, dict):
+            raise ValueError("top level is not a JSON object")
+        records = doc.get("records", [])
         harness.check_report_records(records)
+        if args.format == "csv":
+            text = harness.records_to_csv(records)
+        else:
+            doc["records"] = harness.sort_records_for_report(records)
+            text = harness.indented_json(doc)
+    except RecursionError as exc:
+        # Reading and writing both recurse once per level of nesting.
+        raise ValueError(f"{args.records}: JSON nested too deeply") from exc
     except ValueError as exc:
         raise ValueError(f"{args.records}: {exc}") from exc
-    if args.format == "csv":
-        _emit(harness.records_to_csv(records), args.out)
-    else:
-        doc["records"] = harness.sort_records_for_report(records)
-        _emit(harness.indented_json(doc), args.out)
+    _emit(text, args.out)
     return 0
 
 

@@ -63,7 +63,7 @@ class CoverCertificate:
         try:
             obj = json.loads(text)
         except RecursionError as exc:
-            raise ValueError(str(exc)) from exc
+            raise ValueError("JSON nested too deeply") from exc
         if not isinstance(obj, dict):
             raise ValueError("certificate is not a JSON object")
         for key in ("seed", "envelope", "independent_set", "trace"):
