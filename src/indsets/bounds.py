@@ -1,17 +1,18 @@
 """Closed-form upper bounds for (weighted) independent-set counts in regular graphs.
 
 Every evaluator returns a BoundReport holding a base-2 logarithm of the bound
-("log" is log2 throughout) and the bound's cleared form: an integer `power`,
-an exact right side `cleared` and an integer `scale`. A value lies at or
-below the bound iff
+("log" is log2 throughout) and the bound's cleared form: integers `power`,
+`cleared` and `scale`. A value p/q (an int, or a Fraction in lowest terms)
+lies at or below the bound iff
 
-    value**power * scale <= cleared.
+    p**power * scale <= cleared * q**power.
 
-Raising both sides to `power` clears every fractional exponent, so each
-verdict is decided in exact integer or rational arithmetic and no irrational
-root is ever taken. `BoundReport.judge` applies this rule; nothing else
-decides a bound. Bounds that are rational for rational activity also carry
-the exact value.
+Raising both sides to `power` clears every fractional exponent, and for an
+activity a/b the cleared form is built from the integers a and b, so each
+verdict is one integer comparison and no irrational root is ever taken.
+`BoundReport.judge` applies this rule; nothing else decides a bound. Bounds
+that are rational for rational activity also carry the exact value. Each
+log2 is taken from a numerator and denominator in lowest terms.
 """
 
 from __future__ import annotations
@@ -23,11 +24,21 @@ from fractions import Fraction
 from .graphs import Graph
 
 
-def log2_fraction(q: Fraction) -> float:
-    """log2 of a positive rational, stable for values far beyond float range."""
-    if q <= 0:
+def log2_fraction(q) -> float:
+    """log2 of a positive int or Fraction, stable for values far beyond float range."""
+    p, r = q.numerator, q.denominator
+    if p <= 0:
         raise ValueError("log2 of a nonpositive value")
-    return math.log2(q.numerator) - math.log2(q.denominator)
+    return math.log2(p) - math.log2(r)
+
+
+def activity_terms(activity) -> tuple[int, int, str]:
+    """(a, b, text) for a positive int or Fraction activity a/b in lowest terms;
+    text is how the activity prints, as str(Fraction(a, b))."""
+    a, b = activity.as_integer_ratio()
+    if a <= 0:
+        raise ValueError("activity must be positive")
+    return a, b, str(a) if b == 1 else f"{a}/{b}"
 
 
 @dataclass
@@ -43,7 +54,7 @@ class BoundReport:
     name: str
     log2_value: float
     power: int
-    cleared: int | Fraction
+    cleared: int
     scale: int = 1
     exact_value: Fraction | None = None
     holds_exact: bool | None = None
@@ -52,14 +63,14 @@ class BoundReport:
     constants: dict = field(default_factory=dict)
 
     def judge(self, value, value_log2: float) -> BoundReport:
-        """Decide value <= bound by the cleared form, set the margin log2(bound) -
-        value_log2 (exactly 0.0 at equality, where the floats may round apart)
-        and the equality flag, and return the report."""
-        lhs = value if self.power == 1 else value**self.power
-        if self.scale != 1:
-            lhs *= self.scale
-        self.holds_exact = lhs <= self.cleared
-        self.tight = lhs == self.cleared
+        """Decide value <= bound for an int or Fraction value by the cleared form,
+        set the margin log2(bound) - value_log2 (exactly 0.0 at equality, where
+        the floats may round apart) and the equality flag, and return the report."""
+        q = value.denominator
+        lhs = value.numerator**self.power * self.scale
+        rhs = self.cleared if q == 1 else self.cleared * q**self.power
+        self.holds_exact = lhs <= rhs
+        self.tight = lhs == rhs
         bound_log2 = self.constants.get("bound_log2", self.log2_value)
         self.margin_log2 = 0.0 if self.tight else bound_log2 - value_log2
         return self
@@ -74,8 +85,12 @@ class BoundReport:
         return out
 
 
-def _exact_report(name: str, exact: Fraction, **constants) -> BoundReport:
-    return BoundReport(name, log2_fraction(exact), 1, exact, exact_value=exact, constants=constants)
+def exact_report(name: str, num: int, den: int, **constants) -> BoundReport:
+    """The bound num/den, which is its own cleared form: power 1, and the
+    exact value's numerator and denominator as `cleared` and `scale`."""
+    exact = Fraction(num, den)
+    cleared, scale = exact.numerator, exact.denominator
+    return BoundReport(name, log2_fraction(exact), 1, cleared, scale, exact, constants=constants)
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +102,21 @@ def alekseev_bound(n: int, alpha: int) -> BoundReport:
     """(1 + n/alpha)^alpha, valid for every n-vertex graph."""
     if not 1 <= alpha <= n:
         raise ValueError("need 1 <= alpha <= n")
-    exact = (1 + Fraction(n, alpha)) ** alpha
-    return _exact_report("alekseev", exact, n=n, alpha=alpha)
+    return exact_report("alekseev", (alpha + n) ** alpha, alpha**alpha, n=n, alpha=alpha)
 
 
 def alekseev_weighted_bound(n: int, alpha: int, activity) -> BoundReport:
-    """(1 + activity*n/alpha)^alpha; equality iff a union of equal-order cliques."""
+    """(1 + activity*n/alpha)^alpha; equality iff a union of equal-order cliques.
+
+    For activity a/b the bound is ((alpha*b + a*n) / (alpha*b))^alpha.
+    """
     if not 1 <= alpha <= n:
         raise ValueError("need 1 <= alpha <= n")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
-    exact = (1 + lam * n / alpha) ** alpha
-    return _exact_report("alekseev_weighted", exact, n=n, alpha=alpha, activity=str(lam))
+    a, b, text = activity_terms(activity)
+    den = alpha * b
+    return exact_report(
+        "alekseev_weighted", (den + a * n) ** alpha, den**alpha, n=n, alpha=alpha, activity=text
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +134,7 @@ def kahn_bound(n: int, d: int) -> BoundReport:
     log2 = n * (d + 2) / (2 * d)
     exact = None
     if n * (d + 2) % (2 * d) == 0:
-        exact = Fraction(2) ** (n * (d + 2) // (2 * d))
+        exact = Fraction(1 << n * (d + 2) // (2 * d))
     cleared = 1 << n * (d + 2)
     return BoundReport("kahn", log2, 2 * d, cleared, exact_value=exact, constants={"n": n, "d": d})
 
@@ -131,7 +148,7 @@ def conjecture_bound(n: int, d: int) -> BoundReport:
         raise ValueError("need d >= 1")
     base = 2 ** (d + 1) - 1
     log2 = n * math.log2(base) / (2 * d)
-    exact = Fraction(base) ** (n // (2 * d)) if n % (2 * d) == 0 else None
+    exact = Fraction(base ** (n // (2 * d))) if n % (2 * d) == 0 else None
     return BoundReport(
         "conjecture_counts", log2, 2 * d, base**n, exact_value=exact, constants={"n": n, "d": d}
     )
@@ -145,19 +162,21 @@ def conjecture_bound(n: int, d: int) -> BoundReport:
 def kdd_weighted_bound(n: int, d: int, activity) -> BoundReport:
     """(2(1+activity)^d - 1)^(n/2d): the weighted extremal value.
 
-    Cleared form: value^(2d) <= (2(1+activity)^d - 1)^n.
+    For activity a/b the base is (2(a+b)^d - b^d) / b^d, so the cleared form
+    is value^(2d) * b^(dn) <= (2(a+b)^d - b^d)^n, with the base in lowest terms.
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
-    base = 2 * (1 + lam) ** d - 1
-    log2 = n * log2_fraction(base) / (2 * d)
-    exact = base ** (n // (2 * d)) if n % (2 * d) == 0 else None
-    constants = {"n": n, "d": d, "activity": str(lam)}
+    a, b, text = activity_terms(activity)
+    num, den = 2 * (a + b) ** d - b**d, b**d
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    log2 = n * (math.log2(num) - math.log2(den)) / (2 * d)
+    m, rest = divmod(n, 2 * d)
+    exact = None if rest else Fraction(num**m, den**m)
+    constants = {"n": n, "d": d, "activity": text}
     return BoundReport(
-        "conjecture_weighted", log2, 2 * d, base**n, exact_value=exact, constants=constants
+        "conjecture_weighted", log2, 2 * d, num**n, den**n, exact_value=exact, constants=constants
     )
 
 
@@ -185,7 +204,7 @@ def order_histogram(g: Graph, order, d: int) -> tuple[int, ...]:
     return tuple(hist)
 
 
-def order_numerators(hists: list, activity: Fraction, edge_count: int) -> tuple[list[int], int]:
+def order_numerators(hists: list, activity, edge_count: int) -> tuple[list[int], int]:
     """prod_v (2(1+activity)^p(v) - 1) of each p-value histogram, as numerators over b^E.
 
     For activity a/b each factor is (2(a+b)^p - b^p) / b^p and the p-values
@@ -198,14 +217,15 @@ def order_numerators(hists: list, activity: Fraction, edge_count: int) -> tuple[
     return nums, b**edge_count
 
 
-def order_report(num: int, scale: int, activity: Fraction, n: int, d: int) -> BoundReport:
-    """The order bound with product num / scale: cleared form P^d <= product, the
-    product as exact value, and the bound's own log2 in constants["bound_log2"]."""
+def order_report(num: int, scale: int, activity, n: int, d: int) -> BoundReport:
+    """The order bound with product num / scale: cleared form P^d * scale <= num,
+    the product as exact value, and the bound's own log2 in constants["bound_log2"].
+    The activity is recorded as str(activity)."""
     product = Fraction(num, scale)
     log2_product = log2_fraction(product)
     constants = {"n": n, "d": d, "activity": str(activity), "bound_log2": log2_product / d}
     return BoundReport(
-        "order_bound", log2_product, d, product, exact_value=product, constants=constants
+        "order_bound", log2_product, d, num, scale, exact_value=product, constants=constants
     )
 
 
@@ -221,36 +241,33 @@ def order_bound(g: Graph, order, activity) -> BoundReport:
     perm = list(order)
     if sorted(perm) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
+    text = activity_terms(activity)[2]
     hist = order_histogram(g, perm, d)
     if sum(p * h for p, h in enumerate(hist)) != g.edge_count():
         raise AssertionError("order p-values must sum to the edge count")
-    (num,), scale = order_numerators([hist], lam, g.edge_count())
-    return order_report(num, scale, lam, g.n, d)
+    (num,), scale = order_numerators([hist], activity, g.edge_count())
+    return order_report(num, scale, text, g.n, d)
 
 
 def independent_first_bound(n: int, d: int, alpha: int, activity) -> BoundReport:
     """(1+activity)^(n/2) * 2^((n-alpha)/d), from orders listing an independent set first.
 
-    Cleared form: value^(2d) <= (1+activity)^(nd) * 2^(2(n-alpha)).
+    For activity a/b, 1 + activity = (a+b)/b in lowest terms, and the cleared
+    form is value^(2d) * b^(nd) <= (a+b)^(nd) * 2^(2(n-alpha)).
     """
     if d < 1:
         raise ValueError("need d >= 1")
     if not 0 <= alpha <= n / 2:
         raise ValueError("alpha above n/2 is impossible for a regular graph")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
-    log2 = (n / 2) * log2_fraction(1 + lam) + (n - alpha) / d
+    a, b, text = activity_terms(activity)
+    log2 = (n / 2) * (math.log2(a + b) - math.log2(b)) + (n - alpha) / d
     exact = None
     if n % 2 == 0 and (n - alpha) % d == 0:
-        exact = (1 + lam) ** (n // 2) * Fraction(2) ** ((n - alpha) // d)
-    cleared = (1 + lam) ** (n * d) * 2 ** (2 * (n - alpha))
-    constants = {"n": n, "d": d, "alpha": alpha, "activity": str(lam)}
+        exact = Fraction((a + b) ** (n // 2) << (n - alpha) // d, b ** (n // 2))
+    cleared = (a + b) ** (n * d) << 2 * (n - alpha)
+    constants = {"n": n, "d": d, "alpha": alpha, "activity": text}
     return BoundReport(
-        "independent_first", log2, 2 * d, cleared, exact_value=exact, constants=constants
+        "independent_first", log2, 2 * d, cleared, b ** (n * d), exact, constants=constants
     )
 
 

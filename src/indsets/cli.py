@@ -56,9 +56,12 @@ def _activity(text: str) -> Fraction:
     try:
         if not text.isascii() or "_" in text:
             raise ValueError(text)
-        return Fraction(text)
+        lam = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed --lambda value {text!r}") from exc
+    if lam <= 0:
+        raise ValueError(f"nonpositive --lambda value {text!r}")
+    return lam
 
 
 def _single_graph(spec: str):

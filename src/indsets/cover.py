@@ -20,10 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .bounds import BoundReport, log2_fraction
+from .bounds import BoundReport, activity_terms, exact_report
 from .graphs import Graph, is_independent, mask_of, mask_vertices
 
 
@@ -210,19 +209,15 @@ def cover_count_bound(n: int, d: int, alpha: int, activity, phi: int) -> BoundRe
 
     The binomial prefactor counts seed choices, the power term bounds the
     envelope subgraph through its independence number; both are rational for
-    rational activity, so the cleared form is value <= the bound itself.
+    rational activity a/b, so the cleared form is value <= the bound itself,
+    seeds * (m + a*n*d)^alpha / m^alpha with m = (2d-phi)*alpha*b.
     """
     if not 0 < phi < d <= n:
         raise ValueError("need 0 < phi < d <= n")
     if alpha < 1:
         raise ValueError("need alpha >= 1")
-    lam = Fraction(activity)
-    if lam <= 0:
-        raise ValueError("activity must be positive")
+    a, b, text = activity_terms(activity)
     seeds = sum(comb(n, t) for t in range(min(n, n // phi) + 1))
-    power = (1 + lam * n * d / ((2 * d - phi) * alpha)) ** alpha
-    exact = seeds * power
-    constants = {"n": n, "d": d, "alpha": alpha, "activity": str(lam), "phi": phi}
-    return BoundReport(
-        "cover_count", log2_fraction(exact), 1, exact, exact_value=exact, constants=constants
-    )
+    m = (2 * d - phi) * alpha * b
+    constants = {"n": n, "d": d, "alpha": alpha, "activity": text, "phi": phi}
+    return exact_report("cover_count", seeds * (m + a * n * d) ** alpha, m**alpha, **constants)

@@ -197,8 +197,8 @@ class GraphFacts:
 
     def __post_init__(self):
         self.count = self.poly.total()
-        self.count_log2 = bd.log2_fraction(Fraction(self.count))
-        self.coeffs_log2 = [bd.log2_fraction(Fraction(c)) for c in self.poly.coeffs]
+        self.count_log2 = math.log2(self.count)
+        self.coeffs_log2 = list(map(math.log2, self.poly.coeffs))
         self.evaluations = []
         for lam in self.cfg.lambdas:
             value = self.poly.evaluate(lam)
@@ -394,8 +394,9 @@ def _order_bound(c: Check, f: GraphFacts) -> CheckResult:
         return bd.order_report(num, products[k][1], lam, n, d).judge(value, value_log2)
 
     reports = [judged(k, min(nums)) for k, (nums, _) in enumerate(products)]
-    pairs = [(j, k) for j in range(len(hists)) for k in range(len(products))]
+    pairs: list[tuple[int, int]] = []  # read only by the witness, so formed only on failure
     if not all(rep.holds_exact for rep in reports):
+        pairs = [(j, k) for j in range(len(hists)) for k in range(len(products))]
         reports = (judged(k, products[k][0][j]) for j, k in pairs)
 
     def witness(i: int, rep: bd.BoundReport) -> dict:
@@ -509,7 +510,8 @@ def graph_from_spec(spec: str) -> Graph:
     Grammar: gen:cycle:N | gen:complete:N | gen:kdd:D | gen:petersen
            | gen:rr:N:D:SEED | gen:union:PART+PART+... (PART is a descriptor
            without the gen: prefix). N and D are ASCII digits; SEED may also
-           take a leading '-'.
+           take a leading '-'. A generator's error is raised prefixed by the
+           descriptor, so a union's part is named after the union.
     """
     if not spec.startswith("gen:"):
         raise GraphError(f"not a generator spec: {spec!r}")
@@ -535,8 +537,8 @@ def graph_from_spec(spec: str) -> Graph:
             for part in parts[1:]:
                 out = disjoint_union(out, graph_from_spec("gen:" + part))
             return out
-    except GraphError:
-        raise
+    except GraphError as exc:
+        raise GraphError(f"{spec}: {exc}") from exc
     except (ValueError, IndexError) as exc:
         raise GraphError(f"malformed generator spec {spec!r}: {exc}") from exc
     raise GraphError(f"unknown generator kind {kind!r} in {spec!r}")
@@ -816,7 +818,14 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     reports.append(bd.kahn_bound(n, d).judge(f.count, f.count_log2))
     reports += conjecture_counts(f)
     kahn = _per_activity(f, lambda lam: bd.weighted_kahn_bound(n, d, lam))
-    order = _per_activity(f, lambda lam: bd.order_bound(g, range(n), lam))
+    # The ordering bound on the identity order: one histogram for every activity.
+    hist = bd.order_histogram(g, range(n), d)
+
+    def order_row(lam: Fraction) -> bd.BoundReport:
+        (num,), scale = bd.order_numerators([hist], lam, f.stats.edge_count)
+        return bd.order_report(num, scale, lam, n, d)
+
+    order = _per_activity(f, order_row)
     for row in zip(conjecture_weighted(f), kahn, independent_first(f), order):
         reports += row
     reports += fixed_size(f)

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indsets.bounds import (
@@ -20,8 +20,11 @@ from indsets.bounds import (
     kdd_weighted_bound,
     log2_fraction,
     order_bound,
+    order_numerators,
+    order_report,
     weighted_kahn_bound,
 )
+from indsets.cover import cover_count_bound
 from indsets.graphs import build_graph, gen_complete_bipartite, gen_cycle
 from indsets.polynomial import independence_polynomial
 
@@ -290,3 +293,103 @@ def test_log2_fraction_huge_values():
     assert log2_fraction(q) == pytest.approx(2000 * math.log2(3) - 1500, rel=1e-12)
     with pytest.raises(ValueError):
         log2_fraction(Fraction(0))
+
+
+def iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 0, by bisection."""
+    lo, hi = 0, 1 << -(-x.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**k <= x else (lo, mid - 1)
+    return lo
+
+
+def rational_root(r: Fraction, k: int):
+    """r^(1/k) when it is rational, else None."""
+    root = Fraction(iroot(r.numerator, k), iroot(r.denominator, k))
+    return root if root**k == r else None
+
+
+def closed_forms(n, d, alpha, t, phi, lam, hist):
+    """(report, power, bound^power, log2_value) of every evaluator. bound^power is
+    the bound's closed form in Fraction arithmetic; log2_value is the float the
+    report must carry, as the closed form's lowest terms give it."""
+    one = 1 + lam
+    kdd_base = 2 * one**d - 1
+    weighted_first = (n / 2) * log2_fraction(one)
+    rows = [
+        (alekseev_bound(n, alpha), 1, (1 + Fraction(n, alpha)) ** alpha, None),
+        (alekseev_weighted_bound(n, alpha, lam), 1, (1 + lam * n / alpha) ** alpha, None),
+        (kahn_bound(n, d), 2 * d, Fraction(2) ** (n * (d + 2)), n * (d + 2) / (2 * d)),
+        (
+            conjecture_bound(n, d),
+            2 * d,
+            Fraction(2 ** (d + 1) - 1) ** n,
+            n * math.log2(2 ** (d + 1) - 1) / (2 * d),
+        ),
+        (kdd_weighted_bound(n, d, lam), 2 * d, kdd_base**n, n * log2_fraction(kdd_base) / (2 * d)),
+        (weighted_kahn_bound(n, d, lam), 2 * d, one ** (n * d) * 4**n, weighted_first + n / d),
+        (
+            independent_first_bound(n, d, alpha, lam),
+            2 * d,
+            one ** (n * d) * 4 ** (n - alpha),
+            weighted_first + (n - alpha) / d,
+        ),
+        (
+            # (n/2) H(2t/n) = log2 of n^(n/2) / ((2t)^t (n-2t)^((n-2t)/2)), with 0^0 = 1.
+            fixed_size_bound(n, d, t),
+            2 * d,
+            Fraction(n**n, (2 * t) ** (2 * t) * (n - 2 * t) ** (n - 2 * t)) ** d * 4**n,
+            (n / 2) * (binary_entropy(2 * t / n) + 2 / d),
+        ),
+    ]
+    product = math.prod((2 * one**p - 1) ** h for p, h in enumerate(hist))
+    (num,), scale = order_numerators([hist], lam, sum(p * h for p, h in enumerate(hist)))
+    rows.append((order_report(num, scale, lam, n, d), d, product, log2_fraction(product)))
+    if phi is not None:
+        seeds = sum(math.comb(n, s) for s in range(n // phi + 1))
+        bound = seeds * (1 + lam * n * d / ((2 * d - phi) * alpha)) ** alpha
+        rows.append((cover_count_bound(n, d, alpha, lam, phi), 1, bound, None))
+    return [
+        (rep, power, r, log2_fraction(r) if log2 is None else log2)
+        for rep, power, r, log2 in rows
+    ]
+
+
+@st.composite
+def bound_parameters(draw):
+    d = draw(st.integers(1, 5))
+    # Multiples of 2d make the K_{d,d} and Kahn bounds rational.
+    n = draw(st.sampled_from([2 * d, 4 * d]) | st.integers(max(2, d), 16))
+    alpha = draw(st.integers(1, n // 2))
+    t = draw(st.integers(0, n // 2))
+    phi = draw(st.integers(1, d - 1)) if d >= 2 else None
+    lam = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+    hist = draw(st.lists(st.integers(0, 3), min_size=d + 1, max_size=d + 1))
+    return n, d, alpha, t, phi, lam, hist
+
+
+@given(bound_parameters())
+@example((4, 1, 1, 0, None, Fraction(9, 2), [1, 1]))  # K_{1,1} base 20/2: log2 needs lowest terms
+@settings(max_examples=150, deadline=None)
+def test_integer_judge_matches_fraction_oracle(params):
+    # Each row is probed at three values 1/m apart around its bound: the middle
+    # one is the largest multiple of 1/m at or below the bound, and is the
+    # bound itself when the bound is rational (m is then twice its
+    # denominator). The verdict and the equality flag must be the closed
+    # form's, decided here in Fraction arithmetic.
+    for rep, power, r, log2 in closed_forms(*params):
+        assert rep.power == power and type(rep.cleared) is int and type(rep.scale) is int
+        assert rep.log2_value == log2, rep.name
+        root = rational_root(r, power)
+        if rep.exact_value is not None:
+            assert rep.exact_value == (r if rep.name == "order_bound" else root), rep.name
+        m = 12 if root is None else 2 * root.denominator
+        top = iroot(math.floor(r * m**power), power)
+        for step in (-1, 0, 1):
+            value = Fraction(top + step, m)
+            rep.judge(value, log2_fraction(value))
+            assert rep.holds_exact == (value**power <= r), (rep.name, value)
+            assert rep.tight == (value**power == r), (rep.name, value)
+            if root is not None and step == 0:
+                assert rep.tight and rep.margin_log2 == 0.0, rep.name

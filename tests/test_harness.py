@@ -546,6 +546,38 @@ def test_cli_rejects_a_malformed_activity_naming_lambda(value, capsys):
     assert captured.err == f"error: malformed --lambda value {value!r}\n"
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "0/5"])
+def test_cli_rejects_a_nonpositive_activity_naming_lambda(value, capsys):
+    assert main(["poly", "gen:cycle:5", "--lambda", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: nonpositive --lambda value {value!r}\n"
+
+
+CYCLE_TOO_SHORT = "cycle needs at least 3 vertices"
+
+
+@pytest.mark.parametrize(
+    "argv, named, reason",
+    [
+        (["gen:cycle:5", "gen:cycle:1", "gen:petersen"], "gen:cycle:1", CYCLE_TOO_SHORT),
+        (["gen:rr:0:0:0"], "gen:rr:0:0:0", "need 0 <= d < n"),
+        (["gen:union:kdd:3+cycle:2"], "gen:union:kdd:3+cycle:2: gen:cycle:2", CYCLE_TOO_SHORT),
+    ],
+)
+def test_cli_names_the_descriptor_a_generator_rejects(argv, named, reason, tmp_path, capsys):
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}: {reason}\n"
+    # On a corpus line the file and line come first, then the descriptor.
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n".join(argv) + "\n")
+    assert main(["verify", str(corpus)]) == 1
+    lineno = argv.index(named.split(": ")[0]) + 1
+    assert capsys.readouterr().err == f"error: {corpus}:{lineno}: {named}: {reason}\n"
+
+
 @pytest.mark.parametrize("phi", ["0", "9"])
 def test_cli_bounds_phi_out_of_range_notice(phi, tmp_path, capsys):
     argv = ["bounds", "gen:petersen", "--lambda", "1"]
