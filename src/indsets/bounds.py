@@ -18,7 +18,6 @@ log2 is taken from a numerator and denominator in lowest terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Graph
@@ -41,26 +40,28 @@ def activity_terms(activity) -> tuple[int, int, str]:
     return a, b, str(a) if b == 1 else f"{a}/{b}"
 
 
-@dataclass
 class BoundReport:
     """A named bound value in log2 domain, its cleared form, and a verdict once judged.
 
     `exact_value`, when present, is the rational quantity whose log2 equals
     `log2_value`. `order_bound` reports the d-th power of its bound that way
     (the plain product, which is rational); the bound's own log2 is then
-    constants["bound_log2"]. `tight` (value equals bound) is not serialised.
+    constants["bound_log2"]. `holds_exact`, `margin_log2` and `tight` (value
+    equals bound, not serialised) stay None until `judge` sets them.
     """
 
-    name: str
-    log2_value: float
-    power: int
-    cleared: int
-    scale: int = 1
-    exact_value: Fraction | None = None
-    holds_exact: bool | None = None
-    margin_log2: float | None = None
-    tight: bool | None = None
-    constants: dict = field(default_factory=dict)
+    __slots__ = ("name", "log2_value", "power", "cleared", "scale", "exact_value", "constants",
+                 "holds_exact", "margin_log2", "tight")
+
+    def __init__(self, name, log2_value, power, cleared, scale=1, exact_value=None, constants=None):
+        self.name = name
+        self.log2_value = log2_value
+        self.power = power
+        self.cleared = cleared
+        self.scale = scale
+        self.exact_value = exact_value
+        self.constants = {} if constants is None else constants
+        self.holds_exact = self.margin_log2 = self.tight = None
 
     def judge(self, value, value_log2: float) -> BoundReport:
         """Decide value <= bound for an int or Fraction value by the cleared form,

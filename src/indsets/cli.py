@@ -9,9 +9,8 @@ import time
 from fractions import Fraction
 
 from . import harness
-from .cover import CoverCertificate, verify_cover
 from .graphs import GraphError, mask_of
-from .harness import RunConfig
+from .harness import ConfigError, RunConfig
 
 _parser: argparse.ArgumentParser | None = None
 
@@ -40,7 +39,9 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str):
 
 
 def _config_from_args(args) -> RunConfig:
-    """RunConfig from the flags this subcommand has; the rest keep their defaults."""
+    """RunConfig from the flags this subcommand has; the rest keep their defaults.
+
+    A value RunConfig rejects is named with its flag, as given."""
     given = vars(args)
     names = ("phi", "seed", "cap", "orders", "jobs")
     kwargs = {name: given[name] for name in names if name in given}
@@ -48,7 +49,10 @@ def _config_from_args(args) -> RunConfig:
         kwargs["lambdas"] = tuple(map(_activity, given["lambdas"]))
     if given.get("checks") is not None:
         kwargs["checks"] = tuple(s for s in given["checks"].split(",") if s)
-    return RunConfig(**kwargs)
+    try:
+        return RunConfig(**kwargs)
+    except ConfigError as exc:
+        raise ValueError(f"--{exc.field} {given[exc.field]!r}: {exc}") from exc
 
 
 def _activity(text: str) -> Fraction:
@@ -106,7 +110,7 @@ def cmd_bounds(args) -> int:
     else:
         doc = {
             "graph_id": graph_id,
-            "stats": dict(vars(stats)),
+            "stats": stats._asdict(),
             "reports": [rep.to_dict() for rep in reports],
         }
         _emit(harness.indented_json(doc), args.out)
@@ -137,6 +141,9 @@ def cmd_cover(args) -> int:
                 args.parser.error(f"argument {flag}: not allowed with argument --certificate")
     cfg = _config_from_args(args)
     graph_id, g = _single_graph(args.input)
+    # Imported here, so that a launch of any other command never loads cover.
+    from .cover import CoverCertificate, verify_cover
+
     if args.certificate is not None:
         try:
             with open(args.certificate, "r", encoding="ascii") as fh:
@@ -225,12 +232,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_lambda_values(argv: list[str]) -> list[str]:
+    """`--lambda -3/7` as `--lambda=-3/7`.
+
+    argparse reads a token that starts with '-' as a value only when it looks
+    like a negative int or decimal, so a negative fraction would never reach
+    _activity to be rejected there. A single-dash token other than -h is no
+    flag of any subcommand, so after --lambda, or a prefix of it that argparse
+    would expand (--lam), it is taken as the value.
+    """
+    out = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + list(argv[i:])
+        single_dash = token[:1] == "-" and token[:2] != "--" and token != "-h"
+        if single_dash and out and out[-1].startswith("--l") and "--lambda".startswith(out[-1]):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     """Run one command. The parser is built on the first call and reused."""
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser.parse_args(_attach_lambda_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (GraphError, ValueError, OSError) as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .bounds import BoundReport, activity_terms, exact_report
@@ -34,15 +34,12 @@ def phi_default(d: int) -> int:
     return max(1, min(d - 1, phi))
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(
+    namedtuple("CoverCertificate", "seed envelope phi independent_set trace")
+):
     """Seed set, envelope, threshold, source set, and the seed growth order."""
 
-    seed: int
-    envelope: int
-    phi: int
-    independent_set: int
-    trace: tuple[int, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -10,8 +10,8 @@ here is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 # Python ints are arbitrary precision, so the cap is a policy knob rather than
 # a machine limit; raise it to admit corpora beyond one machine word.
@@ -47,27 +47,31 @@ def mask_vertices(bits: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph as per-vertex neighbor bit masks."""
+class Graph(namedtuple("Graph", "n adj")):
+    """Simple undirected graph as per-vertex neighbor bit masks: `n` and `adj`."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, adj: tuple[int, ...]):
+        if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise GraphError("adjacency length must equal vertex count")
-        for v, row in enumerate(self.adj):
-            if row >> self.n:
+        for v, row in enumerate(adj):
+            if row >> n:
                 raise GraphError(f"adjacency row {v} has bits beyond vertex range")
             if (row >> v) & 1:
                 raise GraphError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for w in mask_vertices(self.adj[v]):
-                if not (self.adj[w] >> v) & 1:
+        for v in range(n):
+            for w in mask_vertices(adj[v]):
+                if not (adj[w] >> v) & 1:
                     raise GraphError(f"asymmetric adjacency between {v} and {w}")
+        return super().__new__(cls, n, adj)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so route it through __new__'s checks.
+        return cls(*iterable)
 
     @property
     def full_mask(self) -> int:
@@ -86,14 +90,10 @@ class Graph:
         return None
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    """Exact size, degree, independence number, and edge count of one graph."""
+class GraphStats(namedtuple("GraphStats", "n d alpha edge_count")):
+    """Exact size, degree (None unless regular), independence number, and edge count."""
 
-    n: int
-    d: int | None
-    alpha: int
-    edge_count: int
+    __slots__ = ()
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -270,8 +270,9 @@ def write_graph6(g: Graph) -> str:
     group = 0
     filled = 0
     for j in range(1, g.n):
+        row = g.adj[j]
         for i in range(j):
-            group = (group << 1) | ((g.adj[j] >> i) & 1)
+            group = (group << 1) | ((row >> i) & 1)
             filled += 1
             if filled == 6:
                 parts.append(chr(63 + group))

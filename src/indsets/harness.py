@@ -23,17 +23,17 @@ independent of scheduling and reports are byte-identical across runs.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
 import random
+import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from . import bounds as bd
-from . import cover as cv
 from .graphs import (
     VERTEX_CAPACITY,
     Graph,
@@ -54,44 +54,81 @@ from .graphs import (
 )
 from .polynomial import IndependencePolynomial, _unpack, independence_polynomial
 
+
+def _lazy_submodule(name: str):
+    """The package's submodule `name`, run on its first attribute access.
+
+    The importlib.util.LazyLoader recipe: `poly` and `report` never touch the
+    bound rows, so they never compile or run `bounds` and `cover`. The module
+    goes into sys.modules and onto the package, where `import` and attribute
+    lookups (`indsets.cover.build_cover`) find the same object.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+bd = _lazy_submodule("bounds")
+cv = _lazy_submodule("cover")
+
 MUST_HOLD = "must_hold"
 CONJECTURE = "conjecture"
 
 DEFAULT_LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
-@dataclass
+class ConfigError(ValueError):
+    """A RunConfig value out of range; `field` names the parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class RunConfig:
-    """Verification run parameters; everything that affects output lives here."""
+    """Verification run parameters; everything that affects output lives here.
 
-    lambdas: tuple[Fraction, ...] = DEFAULT_LAMBDAS
-    phi: int | None = None  # None: per-graph default threshold
-    seed: int = 0
-    cap: int = 28
-    orders: int = 20
-    checks: tuple[str, ...] | None = None  # None: all; kept as names in CHECKS order
-    jobs: int = 1
+    `phi` None takes the per-graph default threshold; `checks` None runs all,
+    and the names are kept as a tuple in CHECKS order. A value out of range
+    raises ConfigError naming its parameter.
+    """
 
-    def __post_init__(self):
-        if not self.lambdas:
-            raise ValueError("lambdas must name at least one activity")
-        if any(lam <= 0 for lam in self.lambdas):
-            raise ValueError("activities must be positive")
-        if self.cap > VERTEX_CAPACITY:
-            raise ValueError(f"cap exceeds vertex capacity {VERTEX_CAPACITY}")
-        if self.cap < 0:
-            raise ValueError(f"cap must be nonnegative, got {self.cap}")
-        if self.orders < 0:
-            raise ValueError("orders must be nonnegative")
-        if self.checks is not None and not self.checks:
-            raise ValueError(f"checks must name at least one check, got {self.checks!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        selected = CHECKS if self.checks is None else self.checks
+    __slots__ = ("lambdas", "phi", "seed", "cap", "orders", "checks", "jobs")
+
+    def __init__(
+        self, lambdas=DEFAULT_LAMBDAS, phi=None, seed=0, cap=28, orders=20, checks=None, jobs=1
+    ):
+        if not lambdas:
+            raise ConfigError("lambdas", "lambdas must name at least one activity")
+        if any(lam <= 0 for lam in lambdas):
+            raise ConfigError("lambdas", "activities must be positive")
+        if cap > VERTEX_CAPACITY:
+            raise ConfigError("cap", f"cap exceeds vertex capacity {VERTEX_CAPACITY}")
+        if cap < 0:
+            raise ConfigError("cap", f"cap must be nonnegative, got {cap}")
+        if orders < 0:
+            raise ConfigError("orders", "orders must be nonnegative")
+        if checks is not None and not checks:
+            raise ConfigError("checks", f"checks must name at least one check, got {checks!r}")
+        if jobs < 1:
+            raise ConfigError("jobs", f"jobs must be at least 1, got {jobs}")
+        selected = CHECKS if checks is None else checks
         unknown = [name for name in selected if name not in CHECKS]
         if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+            raise ConfigError("checks", f"unknown checks: {', '.join(unknown)}")
+        self.lambdas = lambdas
+        self.phi = phi
+        self.seed = seed
+        self.cap = cap
+        self.orders = orders
         self.checks = tuple(name for name in CHECKS if name in selected)
+        self.jobs = jobs
 
     def to_dict(self) -> dict:
         # jobs is an execution detail: reports must not depend on scheduling.
@@ -105,14 +142,18 @@ class RunConfig:
         }
 
 
-@dataclass
 class CheckResult:
-    name: str
-    check_class: str
-    status: str  # pass | fail | skip
-    holds_exact: bool | None = None
-    margin_log2: float | None = None
-    witness: dict = field(default_factory=dict)
+    """One check's outcome on one graph: status is pass, fail or skip."""
+
+    __slots__ = ("name", "check_class", "status", "holds_exact", "margin_log2", "witness")
+
+    def __init__(self, name, check_class, status, holds_exact=None, margin_log2=None, witness=None):
+        self.name = name
+        self.check_class = check_class
+        self.status = status
+        self.holds_exact = holds_exact
+        self.margin_log2 = margin_log2
+        self.witness = {} if witness is None else witness
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -129,12 +170,18 @@ class CheckResult:
         return out
 
 
-@dataclass
 class VerificationRecord:
-    graph_id: str
-    graph6: str
-    stats: GraphStats | None
-    checks: list[CheckResult]
+    """One graph's checks; `stats` is None when the graph was over the cap."""
+
+    __slots__ = ("graph_id", "graph6", "stats", "checks")
+
+    def __init__(
+        self, graph_id: str, graph6: str, stats: GraphStats | None, checks: list[CheckResult]
+    ):
+        self.graph_id = graph_id
+        self.graph6 = graph6
+        self.stats = stats
+        self.checks = checks
 
     @property
     def counterexample(self) -> bool:
@@ -149,7 +196,7 @@ class VerificationRecord:
             "graph_id": self.graph_id,
             "graph6": self.graph6,
             "counterexample": self.counterexample,
-            "stats": None if self.stats is None else dict(vars(self.stats)),
+            "stats": None if self.stats is None else self.stats._asdict(),
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -174,7 +221,6 @@ def random_maximal_independent_set(g: Graph, rng: random.Random) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GraphFacts:
     """What the checks and bound rows read about one graph, each computed once.
 
@@ -184,26 +230,26 @@ class GraphFacts:
     (0, d)).
     """
 
-    graph_id: str
-    g: Graph
-    cfg: RunConfig
-    stats: GraphStats
-    poly: IndependencePolynomial
-    count: int = field(init=False)
-    count_log2: float = field(init=False)
-    coeffs_log2: list[float] = field(init=False)
-    evaluations: list[tuple[Fraction, Fraction, float]] = field(init=False)
-    phi: int | None = field(init=False)
+    __slots__ = ("graph_id", "g", "cfg", "stats", "poly",
+                 "count", "count_log2", "coeffs_log2", "evaluations", "phi")
 
-    def __post_init__(self):
-        self.count = self.poly.total()
+    def __init__(
+        self, graph_id: str, g: Graph, cfg: RunConfig, stats: GraphStats,
+        poly: IndependencePolynomial,
+    ):
+        self.graph_id = graph_id
+        self.g = g
+        self.cfg = cfg
+        self.stats = stats
+        self.poly = poly
+        self.count = poly.total()
         self.count_log2 = math.log2(self.count)
-        self.coeffs_log2 = list(map(math.log2, self.poly.coeffs))
+        self.coeffs_log2 = list(map(math.log2, poly.coeffs))
         self.evaluations = []
-        for lam in self.cfg.lambdas:
-            value = self.poly.evaluate(lam)
+        for lam in cfg.lambdas:
+            value = poly.evaluate(lam)
             self.evaluations.append((lam, value, bd.log2_fraction(value)))
-        d, phi = self.stats.d, self.cfg.phi
+        d, phi = stats.d, cfg.phi
         if d is None or d < 2:
             self.phi = None
         elif phi is None:
@@ -266,15 +312,11 @@ def cover_count(f: GraphFacts) -> list[bd.BoundReport]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name check_class min_degree body")):
     """A named check: its class, the smallest regular degree it needs (None:
     any graph), and its body, called with the check and the graph's facts."""
 
-    name: str
-    check_class: str
-    min_degree: int | None
-    body: Callable[[Check, GraphFacts], CheckResult]
+    __slots__ = ()
 
     def __call__(self, facts: GraphFacts) -> CheckResult:
         d = facts.stats.d

@@ -31,7 +31,7 @@ is never routed through the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import inf
 
@@ -64,22 +64,26 @@ ORDER_SEARCH_COST = 1 << 16
 ORDER_STARTS = 4
 
 
-@dataclass(frozen=True)
-class IndependencePolynomial:
+class IndependencePolynomial(namedtuple("IndependencePolynomial", "n coeffs")):
     """Exact coefficient vector; index t holds the number of size-t independent sets."""
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1:
+    def __new__(cls, n: int, coeffs: tuple[int, ...]):
+        if not coeffs or coeffs[0] != 1:
             raise ValueError("coefficient 0 must be 1 (the empty set)")
-        if any(c < 0 for c in self.coeffs):
+        if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
+        if len(coeffs) > 1 and coeffs[-1] == 0:
             raise ValueError("top coefficient must be positive")
-        if self.n > 0 and (len(self.coeffs) < 2 or self.coeffs[1] != self.n):
+        if n > 0 and (len(coeffs) < 2 or coeffs[1] != n):
             raise ValueError("coefficient 1 must equal the vertex count")
+        return super().__new__(cls, n, coeffs)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so route it through __new__'s checks.
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:

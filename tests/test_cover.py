@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -96,7 +95,7 @@ def test_verify_rejects_tampered_envelope():
     g = gen_cycle(8)
     cert = build_cover(g, mask_of([0, 2, 4]), 1)
     # Add a neighbor of the seed to the envelope.
-    bad = replace(cert, envelope=cert.envelope | (1 << 1))
+    bad = cert._replace(envelope=cert.envelope | (1 << 1))
     ok, reason = verify_cover(g, bad)
     assert not ok and reason == "envelope-mismatch"
 
@@ -119,7 +118,7 @@ def test_verify_rejects_truncated_trace():
 def test_verify_rejects_seed_outside_set():
     g = gen_cycle(8)
     cert = build_cover(g, mask_of([0, 2, 4]), 1)
-    bad = replace(cert, independent_set=mask_of([0, 2]))
+    bad = cert._replace(independent_set=mask_of([0, 2]))
     ok, reason = verify_cover(g, bad)
     assert not ok and reason == "seed-not-subset"
 

@@ -102,6 +102,11 @@ def test_graph_invariants_enforced():
         Graph(2, (0b01, 0b10))  # loops
     with pytest.raises(GraphError):
         Graph(2, (0b110, 0b01))  # bits beyond range
+    edge = Graph(2, (0b10, 0b01))
+    with pytest.raises(GraphError):
+        edge._replace(adj=(0b10, 0b00))  # a copy is checked as a new graph
+    with pytest.raises(AttributeError):
+        edge.n = 3  # immutable
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -554,6 +553,28 @@ def test_cli_rejects_a_nonpositive_activity_naming_lambda(value, capsys):
     assert captured.err == f"error: nonpositive --lambda value {value!r}\n"
 
 
+@pytest.mark.parametrize("command", ["poly", "bounds", "verify", "cover"])
+def test_cli_takes_a_negative_fraction_after_lambda_as_its_value(command, capsys):
+    # argparse reads "-3/7" as an option, not as a negative number, so the
+    # value must reach the activity parser some other way to be rejected.
+    for flag in ("--lambda", "--lam"):
+        assert main([command, "gen:cycle:5", flag, "-3/7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nonpositive --lambda value '-3/7'\n"
+
+
+def test_cli_lambda_still_stops_at_a_flag_and_at_double_dash(capsys):
+    for flag in ("--out", "-h"):
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "gen:cycle:5", "--lambda", flag])
+        assert exc.value.code == 2
+        assert "argument --lambda: expected one argument" in capsys.readouterr().err
+    # After "--" every token is an input, read as written.
+    assert main(["verify", "--", "--lambda", "-3/7"]) == 1
+    assert capsys.readouterr().err.startswith("error: --lambda: no such file")
+
+
 CYCLE_TOO_SHORT = "cycle needs at least 3 vertices"
 
 
@@ -832,7 +853,7 @@ def test_negative_orders_rejected(capsys):
         RunConfig(orders=-3)
     assert main(["verify", "gen:cycle:5", "--orders", "-3"]) == 1
     captured = capsys.readouterr()
-    assert "error: orders must be nonnegative" in captured.err
+    assert captured.err == "error: --orders -3: orders must be nonnegative\n"
     assert captured.out == ""
 
 
@@ -844,14 +865,17 @@ def test_negative_orders_rejected(capsys):
         (["--cap", "-1"], "cap must be nonnegative, got -1"),
         (["--jobs", "-3"], "jobs must be at least 1, got -3"),
         (["--jobs", "0"], "jobs must be at least 1, got 0"),
+        (["--cap", "65"], "cap exceeds vertex capacity 64"),
     ],
 )
 def test_verify_rejects_vacuous_or_ignored_settings(flags, message, capsys):
     # Under any of these a run would certify nothing or ignore the value, so
-    # it must not exit 0.
+    # it must not exit 0; the error names the flag and the value given.
     assert main(["verify", "gen:cycle:5", *flags]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    flag, value = flags
+    shown = repr(value) if flag == "--checks" else value  # the other flags are ints
+    assert captured.err == f"error: {flag} {shown}: {message}\n"
     assert captured.out == ""
 
 
@@ -862,7 +886,7 @@ def test_verify_rejects_unknown_checks_before_any_graph(tmp_path, capsys):
     for inputs in ([str(corpus)], ["gen:cycle:5"]):
         assert main(["verify", *inputs, "--checks", "alpha_le_half,bogus"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: unknown checks: bogus\n"
+        assert captured.err == "error: --checks 'alpha_le_half,bogus': unknown checks: bogus\n"
         assert captured.out == ""
 
 
@@ -976,6 +1000,37 @@ def test_cli_bounds_prints_exact_values_past_the_int_string_limit(capsys):
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert max(len(rep.get("exact_value", "")) for rep in reports) > 4300
     assert reports and all(rep["holds_exact"] is True for rep in reports)
+
+
+def _launch(*argv) -> list:
+    """Run one command in a fresh interpreter; return [exit code, the heavy
+    standard-library modules imported, the package modules `bounds` and `cover`
+    that ran]. -S keeps out the host's site .pth files, which may import
+    typing. A module loaded through importlib's LazyLoader becomes a plain
+    ModuleType when it first runs."""
+    code = "\n".join([
+        "import json, sys, types",
+        "from indsets import cli",
+        "code = cli.main(sys.argv[1:])",
+        "heavy = [m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]",
+        "names = ('indsets.bounds', 'indsets.cover')",
+        "ran = [m for m in names if type(sys.modules.get(m)) is types.ModuleType]",
+        "print(json.dumps([code, heavy, ran]))",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_poly_launch_skips_dataclasses_typing_and_the_bound_modules():
+    assert _launch("poly", "gen:cycle:5") == [0, [], []]
+
+
+def test_verify_launch_runs_the_bound_modules():
+    assert _launch("verify", "gen:petersen") == [0, [], ["indsets.bounds", "indsets.cover"]]
 
 
 def test_library_import_lifts_the_int_string_limit():
@@ -1165,7 +1220,7 @@ def test_run_verify_failures_take_precedence_over_exit_3(monkeypatch):
     for name, code in (("alpha_le_half", 1), ("conjecture_counts", 2)):
         check = CHECKS[name]
         monkeypatch.setitem(CHECKS, name, lambda f, c=check: c.result(False))
-        assert run_verify(pairs, replace(cfg, checks=(name,)))[1] == code
+        assert run_verify(pairs, RunConfig(checks=(name,)))[1] == code
 
 
 def test_cover_certificate_failure_witness_holds_the_certificate(monkeypatch):

@@ -191,6 +191,8 @@ def test_invariant_validation():
         IndependencePolynomial(2, (1, 2, -1))
     with pytest.raises(ValueError):
         IndependencePolynomial(2, (1, 2, 0))
+    with pytest.raises(ValueError):
+        IndependencePolynomial(2, (1, 2, 1))._replace(n=3)
 
 
 def test_memo_limit_zero_still_correct(monkeypatch):
