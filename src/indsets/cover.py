@@ -82,21 +82,23 @@ class CoverCertificate(
 def _neighborhood(g: Graph, bits: int) -> int:
     out = 0
     rest = bits
+    adj = g.adj
     while rest:
         low = rest & -rest
         rest ^= low
-        out |= g.adj[low.bit_length() - 1]
+        out |= adj[low.bit_length() - 1]
     return out
 
 
 def _envelope_from_seed(g: Graph, seed: int, phi: int) -> int:
     seen = _neighborhood(g, seed)
+    adj = g.adj
     env = 0
     for v in range(g.n):
         vbit = 1 << v
         if vbit & seen:
             continue
-        if (g.adj[v] & ~seen).bit_count() < phi:
+        if (adj[v] & ~seen).bit_count() < phi:
             env |= vbit
     return env
 
@@ -123,6 +125,7 @@ def build_cover(g: Graph, independent_set: int, phi: int) -> CoverCertificate:
     if not is_independent(g, independent_set):
         raise ValueError("input set is not independent")
 
+    adj = g.adj
     trace: list[int] = []
     seed = 0
     covered = 0
@@ -130,7 +133,7 @@ def build_cover(g: Graph, independent_set: int, phi: int) -> CoverCertificate:
         u = (independent_set & -independent_set).bit_length() - 1
         trace.append(u)
         seed = 1 << u
-        covered = g.adj[u]
+        covered = adj[u]
         while True:
             rest = independent_set & ~seed
             chosen = -1
@@ -138,14 +141,14 @@ def build_cover(g: Graph, independent_set: int, phi: int) -> CoverCertificate:
                 low = rest & -rest
                 rest ^= low
                 v = low.bit_length() - 1
-                if (g.adj[v] & ~covered).bit_count() >= phi:
+                if (adj[v] & ~covered).bit_count() >= phi:
                     chosen = v
                     break
             if chosen < 0:
                 break
             trace.append(chosen)
             seed |= 1 << chosen
-            covered |= g.adj[chosen]
+            covered |= adj[chosen]
 
     return CoverCertificate(
         seed=seed,
@@ -176,11 +179,12 @@ def verify_cover(g: Graph, cert: CoverCertificate) -> tuple[bool, str]:
     if mask_of(cert.trace) != cert.seed or len(cert.trace) != cert.seed.bit_count():
         return False, "trace-mismatch"
     covered = _neighborhood(g, cert.seed)
+    adj = g.adj
     rest = cert.independent_set
     while rest:
         low = rest & -rest
         rest ^= low
-        if (g.adj[low.bit_length() - 1] & ~covered).bit_count() >= phi:
+        if (adj[low.bit_length() - 1] & ~covered).bit_count() >= phi:
             return False, "stopping-condition-violated"
     if _envelope_from_seed(g, cert.seed, phi) != cert.envelope:
         return False, "envelope-mismatch"

@@ -324,11 +324,12 @@ def parse_graph6(text: str) -> Graph:
 
 def is_independent(g: Graph, bits: int) -> bool:
     """True iff no two vertices in the mask are adjacent."""
+    adj = g.adj
     rest = bits
     while rest:
         low = rest & -rest
         rest ^= low
-        if g.adj[low.bit_length() - 1] & bits:
+        if adj[low.bit_length() - 1] & bits:
             return False
     return True
 

@@ -207,11 +207,12 @@ def _rng(cfg: RunConfig, graph_id: str, check: str) -> random.Random:
 
 def random_maximal_independent_set(g: Graph, rng: random.Random) -> int:
     """Greedy maximal independent set over a shuffled vertex order."""
+    adj = g.adj
     order = list(range(g.n))
     rng.shuffle(order)
     chosen = 0
     for v in order:
-        if not g.adj[v] & chosen:
+        if not adj[v] & chosen:
             chosen |= 1 << v
     return chosen
 
@@ -840,6 +841,17 @@ def poly_summary(g: Graph, cfg: RunConfig) -> dict:
     }
 
 
+def _single_graph_facts(g: Graph, cfg: RunConfig) -> GraphFacts:
+    """Facts for `bounds` and `cover`, with alpha read off the polynomial's degree.
+
+    Only `verify` runs the exact MIS search (`graph_stats`): its
+    `poly_degree_matches_alpha` check compares the two.
+    """
+    poly = independence_polynomial(g)
+    stats = GraphStats(g.n, g.regular_degree(), poly.degree, g.edge_count())
+    return GraphFacts("", g, cfg, stats, poly)
+
+
 def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.BoundReport], list[str]]:
     """Drive every bound evaluator applicable to one graph; each row is judged.
 
@@ -847,7 +859,7 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     notice on irregular input, and the cover rows with a notice when d < 2
     or cfg.phi lies outside (0, d).
     """
-    f = GraphFacts("", g, cfg, graph_stats(g), independence_polynomial(g))
+    f = _single_graph_facts(g, cfg)
     n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
     if n < 1:
         return f.stats, [], ["empty graph: nothing to bound"]
@@ -891,7 +903,7 @@ def cover_summary(g: Graph, independent_set: int, cfg: RunConfig) -> dict:
     phi = cfg.phi if cfg.phi is not None else cv.phi_default(d)
     cert = cv.build_cover(g, independent_set, phi)
     ok, reason = cv.verify_cover(g, cert)
-    f = GraphFacts("", g, cfg, graph_stats(g), independence_polynomial(g))
+    f = _single_graph_facts(g, cfg)
     return {
         "certificate": cert.to_dict(),
         "verified": ok,

@@ -5,14 +5,19 @@ degree is the independence number and the coefficient sum is the total count.
 `independence_polynomial` computes it with two exact methods under one rule,
 applied to the whole graph and to every component the recurrence reaches:
 
-- a component whose greedy vertex order (`frontier_order`) has width at most
-  DP_MAX_WIDTH goes to `_frontier_dp`, which places the vertices in that
-  order and keeps one packed polynomial per blocked set, the set of unplaced
-  vertices that an independent set of the placed ones has a neighbour in.
-  Only the set's part on the frontier (the placed vertices that still have
-  an unplaced neighbour) blocks anything, so there are at most 2^width
-  blocked sets, and frontier subsets that block the same vertices share one.
-  A leaf whose order looks expensive goes along the cheapest of a few
+- a component on at most 2 * DP_MAX_WIDTH vertices goes to `_frontier_dp`
+  along a breadth-first order (`_path_order`). The DP places the vertices
+  in order and keeps one packed polynomial per blocked set, the set of
+  unplaced vertices that an independent set of the placed ones has a
+  neighbour in. Along any order of m vertices, step i holds at most
+  2^min(i, m - i) <= 2^DP_MAX_WIDTH of them, so such a component needs no
+  search for a narrow order;
+- a larger component whose greedy vertex order (`frontier_order`) has
+  width at most DP_MAX_WIDTH goes to `_frontier_dp` along that order. Only
+  an independent set's part on the frontier (the placed vertices that still
+  have an unplaced neighbour) blocks anything, so there are at most 2^width
+  blocked sets, and frontier subsets that block the same vertices share
+  one. A leaf whose order looks expensive goes along the cheapest of a few
   greedy orders from other start vertices instead;
 - a wider one takes one step of the vertex recurrence
 
@@ -48,8 +53,8 @@ MEMO_LIMIT = 1 << 22
 # seeds of the verify_reach benchmark corpus) 14 took the least total time,
 # 15 was within 2% of it, 10-13 and 16-20 took 9-24% more, and 24 took 64%
 # more; peak memory grew by 1-4 MB at 14, 6-12 MB at 18 and 24-55 MB at 24.
-# The 3- to 5-regular graphs with n <= 28 measured so far have width 12 or
-# less, and K_{8,8} has width 13, so each is one DP call.
+# Every component on at most 2 * 14 = 28 vertices, whatever its density, is
+# one DP call along a breadth-first order, with no greedy order taken.
 DP_MAX_WIDTH = 14
 # Cost estimate (frontier_order) from which a DP leaf also tries greedy
 # orders from ORDER_STARTS other start vertices and takes the cheapest. On
@@ -58,8 +63,8 @@ DP_MAX_WIDTH = 14
 # with the DP's state count was 0.81-0.99; thresholds 2^12-2^17 cut the
 # states summed per seed from 2.53M-2.70M to 2.07M-2.26M, and 2^15-2^17 took
 # the least time; 1, 2 and 4 starts took within 1% of each other and 8 took
-# 4% more. No verify_small graph reaches 2^16 (its largest estimate is
-# 33,119 at seed 4242).
+# 4% more. Components on at most 2 * DP_MAX_WIDTH vertices take no greedy
+# order, so this never applies to them.
 ORDER_SEARCH_COST = 1 << 16
 ORDER_STARTS = 4
 
@@ -196,6 +201,33 @@ def frontier_order(
     return order, width, peak, cost
 
 
+def _path_order(adj, verts: int) -> list[int]:
+    """Breadth-first order of the subgraph induced by a vertex mask.
+
+    A first search from the lowest vertex ends at a vertex far from it, and
+    a second search from there gives the order, so every edge joins nearby
+    positions and the DP's relative keys stay short. Each search restarts
+    at the lowest unreached vertex when it runs out, so a disconnected mask
+    is covered.
+    """
+    start = (verts & -verts).bit_length() - 1
+    for _ in range(2):
+        order = [start]
+        rest = verts ^ (1 << start)
+        i = 0
+        while rest:
+            if i == len(order):
+                low = rest & -rest
+                rest ^= low
+                order.append(low.bit_length() - 1)
+            nb = adj[order[i]] & rest
+            rest ^= nb
+            order += mask_vertices(nb)
+            i += 1
+        start = order[-1]
+    return order
+
+
 def _frontier_dp(adj, verts: int, order: list[int], shift: int) -> int:
     """Packed independence polynomial of the subgraph induced by `verts`.
 
@@ -299,9 +331,15 @@ def _split_engine(g: Graph, max_width: int) -> IndependencePolynomial:
     """Independence polynomial by recurrence branches down to frontier-DP leaves.
 
     Every component the recurrence reaches, starting with the whole graph,
-    is solved the same way. On a memo miss the component's greedy frontier
-    order is taken; if its width is at most `max_width`, `_frontier_dp`
-    solves the component along it. When that order's cost estimate (see
+    is solved the same way. On a memo miss, a component on m <= 2 *
+    `max_width` vertices is one `_frontier_dp` call along `_path_order`. No
+    order can do better by the DP's state bound: before step i a blocked set
+    lies among the m - i unplaced vertices, and it is fixed by the set's
+    part on the frontier, which lies among the i placed ones, so any order
+    holds at most 2^min(i, m - i) <= 2^max_width states, the guarantee that
+    the width test gives. A larger component takes its greedy frontier
+    order; if its width is at most `max_width`, `_frontier_dp` solves the
+    component along it. When that order's cost estimate (see
     `frontier_order`) is at least ORDER_SEARCH_COST, the DP goes along the
     cheapest of it and the orders `_cheaper_order` tries instead: only the
     order within a leaf changes, never which components are leaves or where
@@ -340,6 +378,7 @@ def _split_engine(g: Graph, max_width: int) -> IndependencePolynomial:
     adj = g.adj
     shift = g.n + 1
     one_plus_x = 1 | (1 << shift)
+    small = 2 * max_width
     memo: dict[int, int] = {}
 
     def solve(verts: int) -> int:
@@ -355,6 +394,8 @@ def _split_engine(g: Graph, max_width: int) -> IndependencePolynomial:
         cached = memo.get(verts)
         if cached is not None:
             return cached
+        if verts.bit_count() <= small:
+            return remember(verts, _frontier_dp(adj, verts, _path_order(adj, verts), shift))
         peak = unplaced = verts
         if min((adj[u] & verts).bit_count() for u in mask_vertices(verts)) <= max_width:
             order, width, peak, cost = frontier_order(adj, verts, max_width)
@@ -386,9 +427,10 @@ def independence_polynomial(g: Graph) -> IndependencePolynomial:
     """Exact independence polynomial by `_split_engine` at DP_MAX_WIDTH.
 
     One rule covers the graph and every component the recurrence reaches: a
-    component whose greedy frontier order has width at most DP_MAX_WIDTH is
-    solved by the frontier DP, which holds at most 2^width states; a wider
-    one is branched on once and its residual components are checked again.
+    component on at most 2 * DP_MAX_WIDTH vertices, or one whose greedy
+    frontier order has width at most DP_MAX_WIDTH, is solved by the frontier
+    DP, which then holds at most 2^DP_MAX_WIDTH states; any other is
+    branched on once and its residual components are checked again.
     """
     return _split_engine(g, DP_MAX_WIDTH)
 

@@ -355,6 +355,35 @@ def test_cover_summary_rejects_dependent_set():
     assert "not independent" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "spec", ["?", "@", "gen:petersen", "gen:kdd:3", "gen:union:kdd:3+cycle:5", "gen:rr:20:4:7"]
+)
+def test_bounds_and_cover_read_alpha_off_the_polynomial(spec, monkeypatch, capsys):
+    # Only verify runs the exact MIS search, for poly_degree_matches_alpha;
+    # bounds and cover print the same stats from the polynomial's degree.
+    ((_, g),) = load_inputs([spec])
+    expected = graph_stats(g)._asdict()
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return graph_stats(g)
+
+    monkeypatch.setattr(harness, "graph_stats", spy)
+    assert main(["bounds", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"] == expected
+    code = main(["cover", spec, "--set", "0"])
+    out = capsys.readouterr().out
+    if expected["d"] is not None and expected["d"] >= 2:
+        assert code == 0
+        assert json.loads(out)["stats"] == {key: expected[key] for key in ("n", "d", "alpha")}
+    else:
+        assert code == 1
+    assert calls == []
+    main(["verify", spec])
+    assert calls == [g]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, inf
 
 import pytest
@@ -18,6 +19,7 @@ from indsets.graphs import (
     gen_cycle,
     gen_petersen,
     gen_random_regular,
+    mask_of,
     mask_vertices,
     max_independent_set,
 )
@@ -433,13 +435,14 @@ def test_routing_by_width(monkeypatch):
     calls = []
     order, dp, split = polynomial.frontier_order, polynomial._frontier_dp, component_masks
 
-    def spy_order(adj, verts, limit):
-        result = order(adj, verts, limit)
-        calls.append(("order", result[1]))
+    def spy_order(adj, verts, *args):
+        result = order(adj, verts, *args)
+        calls.append(("order", verts, result[1]))
         return result
 
     def spy_dp(adj, verts, order, shift):
-        calls.append("dp")
+        assert sorted(order) == mask_vertices(verts)
+        calls.append(("dp", verts))
         return dp(adj, verts, order, shift)
 
     def spy_split(adj, verts):
@@ -450,35 +453,60 @@ def test_routing_by_width(monkeypatch):
     monkeypatch.setattr(polynomial, "_frontier_dp", spy_dp)
     monkeypatch.setattr(polynomial, "component_masks", spy_split)
 
-    narrow = gen_petersen()
-    assert independence_polynomial(narrow).total() == 76
-    (_, width), dp_call = calls
-    assert width <= DP_MAX_WIDTH and dp_call == "dp"
+    # A graph on at most 2 * DP_MAX_WIDTH vertices, connected, complete or
+    # not, is one DP call along the breadth-first order, with no greedy one.
+    small = 2 * DP_MAX_WIDTH
+    for g, total in (
+        (gen_petersen(), 76),
+        (gen_complete(16), 17),
+        (graph_from_spec("gen:union:petersen+complete:5+cycle:4"), 76 * 6 * 7),
+        (gen_complete(small), small + 1),
+    ):
+        calls.clear()
+        assert independence_polynomial(g).total() == total
+        assert calls == [("dp", g.full_mask)]
 
-    # No order of K_m is narrower than its minimum degree m - 1, so K_(T+2)
-    # is branched on without one: its residual K_(T+1) fits, and the other
-    # residual is empty.
+    # A 30-vertex component still takes the greedy order, and fits it.
+    g = graph_from_spec("gen:rr:30:3:1")
+    expected = _recurrence(g)
     calls.clear()
-    wide = gen_complete(DP_MAX_WIDTH + 2)
-    assert independence_polynomial(wide).coeffs == (1, DP_MAX_WIDTH + 2)
-    assert calls == ["split", ("order", DP_MAX_WIDTH), "dp", "split"]
+    assert independence_polynomial(g) == expected
+    assert calls == [("order", g.full_mask, calls[0][2]), ("dp", g.full_mask)]
+    assert calls[0][2] <= DP_MAX_WIDTH
+
+    # No order of K_m is narrower than its minimum degree m - 1, so K_30 and
+    # its residual K_29 are branched on without one; the residual K_28 is
+    # small enough for one DP call, and the other residuals are empty.
+    calls.clear()
+    wide = gen_complete(small + 2)
+    assert independence_polynomial(wide).coeffs == (1, small + 2)
+    assert calls == ["split", "split", ("dp", (1 << small) - 1 << 2), "split", "split"]
 
     # Several levels of branches before the leaves fit: an order that ends
-    # wider than the limit is a branch at its peak frontier, and each DP
-    # leaf follows an order that fits.
+    # wider than the limit is a branch at its peak frontier, each DP leaf on
+    # more than 2 * 4 vertices follows an order that fits, and each smaller
+    # one takes no order.
     g = graph_from_spec("gen:rr:24:5:4")
     expected = _recurrence(g)
     calls.clear()
     assert _split_engine(g, 4) == expected
-    widths = [call[1] for call in calls if isinstance(call, tuple)]
-    assert calls[0] == "split" and max(widths) > 4
-    assert calls.count("dp") == sum(w <= 4 for w in widths) > 1
+    assert calls[0] == "split"
+    assert max(call[2] for call in calls if call[0] == "order") > 4
+    kinds = {"fitted": 0, "small": 0}
     for before, call in zip(calls, calls[1:]):
-        assert call != "dp" or before[1] <= 4
+        if call[0] == "order":
+            assert call[1].bit_count() > 8
+        elif call[0] == "dp" and before[0] == "order":
+            assert before[1] == call[1] and before[2] <= 4
+            kinds["fitted"] += 1
+        elif call[0] == "dp":
+            assert call[1].bit_count() <= 8
+            kinds["small"] += 1
+    assert kinds["fitted"] and kinds["small"]
 
-    # The pure recurrence takes no order at all.
+    # The pure recurrence takes no order and no DP leaf at all.
     calls.clear()
-    assert _recurrence(wide).coeffs == (1, DP_MAX_WIDTH + 2)
+    assert _recurrence(wide).coeffs == (1, small + 2)
     assert calls and set(calls) == {"split"}
 
     seen = []
@@ -487,6 +515,86 @@ def test_routing_by_width(monkeypatch):
     )
     independence_polynomial(wide)
     assert seen == [DP_MAX_WIDTH]
+
+
+def _blocked_set_counts(adj, order):
+    """Blocked sets before each step of `order`: the distinct N(S) within the unplaced vertices."""
+    counts = []
+    for i in range(len(order) + 1):
+        placed, unplaced = order[:i], mask_of(order[i:])
+        blocked = set()
+        for r in range(len(placed) + 1):
+            for s in combinations(placed, r):
+                if all(not adj[u] >> v & 1 for u, v in combinations(s, 2)):
+                    nbrs = 0
+                    for u in s:
+                        nbrs |= adj[u]
+                    blocked.add(nbrs & unplaced)
+        counts.append(len(blocked))
+    return counts
+
+
+@given(st.integers(2, 5), st.sampled_from([0.2, 0.4, 0.7, 0.95]), st.integers(0, 10**6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_path_order_holds_at_most_2_to_the_width_states(width, p, seed, data):
+    # A component on m <= 2 * width vertices takes `_path_order` and no
+    # width test: whatever the order, a blocked set lies among the m - i
+    # unplaced vertices and is fixed by the set's part among the i placed.
+    m = data.draw(st.integers(1, 2 * width))
+    split = data.draw(st.integers(0, m))
+    g = disjoint_union(random_graph(split, p, seed), random_graph(m - split, p, seed + 1))
+    order = polynomial._path_order(g.adj, g.full_mask)
+    assert sorted(order) == list(range(m))
+    counts = _blocked_set_counts(g.adj, order)
+    assert all(c <= 2 ** min(i, m - i) <= 2**width for i, c in enumerate(counts))
+    # `_frontier_dp` keeps one state per blocked set, and these are all its
+    # states; along the path order it is exact like along any other.
+    assert _unpack(m, polynomial._frontier_dp(g.adj, g.full_mask, order, m + 1)) == (
+        brute_force_polynomial(g)
+    )
+
+
+def test_path_order_is_breadth_first_from_a_pseudo_peripheral_vertex():
+    # P_6 numbered 2-0-4-1-5-3: the first search from 0 ends at 3, the
+    # second walks the path from there.
+    g = build_graph(6, [(2, 0), (0, 4), (4, 1), (1, 5), (5, 3)])
+    assert polynomial._path_order(g.adj, g.full_mask) == [3, 5, 1, 4, 0, 2]
+    # Disconnected: each search restarts at the lowest unreached vertex.
+    g = disjoint_union(gen_cycle(4), build_graph(3, [(0, 1), (1, 2)]))
+    assert polynomial._path_order(g.adj, g.full_mask) == [6, 5, 4, 0, 1, 3, 2]
+
+
+@given(
+    st.integers(2, 12),
+    st.sampled_from([0.5, 0.7, 0.9, 1.0]),
+    st.integers(0, 10**6),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_small_dense_and_disconnected_graphs_match_the_oracle(width, p, seed, data):
+    parts = data.draw(st.integers(1, 3))
+    g = build_graph(0, [])
+    for i in range(parts):
+        g = disjoint_union(g, random_graph(data.draw(st.integers(0, 2 * width // parts)), p, seed + i))
+    assert g.n <= 2 * width
+    assert _split_engine(g, width) == brute_force_polynomial(g)
+
+
+@pytest.mark.parametrize(
+    "spec, width",
+    [
+        ("gen:complete:24", 12),
+        ("gen:kdd:12", 12),
+        ("gen:union:kdd:6+kdd:6", 12),
+        ("gen:union:complete:5+complete:5+complete:5+complete:5", 10),
+        ("gen:union:petersen+kdd:3+cycle:5", 11),
+    ],
+)
+def test_small_dense_and_disconnected_graphs_are_one_dp_call(spec, width, monkeypatch):
+    g = graph_from_spec(spec)
+    shifts = _dp_leaf_shifts(monkeypatch)
+    assert _split_engine(g, width) == brute_force_polynomial(g)
+    assert shifts == [g.n + 1]
 
 
 @given(graphs(20))
