@@ -40,9 +40,8 @@ __version__ = "0.1.0"
 # their names resolve here, on first access (PEP 562).
 _LAZY_NAMES = {
     **dict.fromkeys(
-        ("BoundReport", "alekseev_bound", "alekseev_weighted_bound", "binary_entropy",
-         "conjecture_bound", "fixed_size_bound", "independent_first_bound", "kahn_bound",
-         "kdd_weighted_bound", "order_bound", "weighted_kahn_bound"),
+        ("BoundReport", "alekseev_weighted_bound", "binary_entropy", "fixed_size_bound",
+         "independent_first_bound", "kahn_bound", "kdd_weighted_bound", "order_bound"),
         "bounds",
     ),
     **dict.fromkeys(

@@ -39,9 +39,7 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str):
 
 
 def _config_from_args(args) -> RunConfig:
-    """RunConfig from the flags this subcommand has; the rest keep their defaults.
-
-    A value RunConfig rejects is named with its flag, as given."""
+    """RunConfig from the flags this subcommand has; the rest keep their defaults."""
     given = vars(args)
     names = ("phi", "seed", "cap", "orders", "jobs")
     kwargs = {name: given[name] for name in names if name in given}
@@ -49,10 +47,7 @@ def _config_from_args(args) -> RunConfig:
         kwargs["lambdas"] = tuple(map(_activity, given["lambdas"]))
     if given.get("checks") is not None:
         kwargs["checks"] = tuple(s for s in given["checks"].split(",") if s)
-    try:
-        return RunConfig(**kwargs)
-    except ConfigError as exc:
-        raise ValueError(f"--{exc.field} {given[exc.field]!r}: {exc}") from exc
+    return RunConfig(**kwargs)
 
 
 def _activity(text: str) -> Fraction:
@@ -261,6 +256,10 @@ def main(argv=None) -> int:
     args = _parser.parse_args(_attach_lambda_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
+    except ConfigError as exc:
+        # A config value out of range is named with its flag, as given.
+        print(f"error: --{exc.field} {vars(args)[exc.field]!r}: {exc}", file=sys.stderr)
+        return 1
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

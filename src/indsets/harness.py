@@ -84,7 +84,8 @@ DEFAULT_LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 class ConfigError(ValueError):
-    """A RunConfig value out of range; `field` names the parameter."""
+    """A RunConfig value out of range, or a phi out of range for the graph at
+    hand; `field` names the parameter."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
@@ -264,6 +265,15 @@ def _per_activity(f: GraphFacts, bound: Callable[[Fraction], bd.BoundReport]):
     return [bound(lam).judge(value, value_log2) for lam, value, value_log2 in f.evaluations]
 
 
+def _fixed(report: bd.BoundReport, name: str, constant: str) -> bd.BoundReport:
+    """The report as row `name`, without the constant its caller held fixed: a
+    count row is its weighted row at activity 1, `weighted_kahn` is
+    `independent_first` at alpha = 0."""
+    report.name = name
+    del report.constants[constant]
+    return report
+
+
 def alekseev_weighted(f: GraphFacts) -> list[bd.BoundReport]:
     """P(lam) <= (1 + lam*n/alpha)^alpha per activity; needs n >= 1."""
     n, alpha = f.stats.n, f.stats.alpha
@@ -271,8 +281,10 @@ def alekseev_weighted(f: GraphFacts) -> list[bd.BoundReport]:
 
 
 def conjecture_counts(f: GraphFacts) -> list[bd.BoundReport]:
-    """P(1)^(2d) <= (2^(d+1) - 1)^n; marks equality. Needs d >= 1."""
-    report = bd.conjecture_bound(f.stats.n, f.stats.d).judge(f.count, f.count_log2)
+    """P(1)^(2d) <= (2^(d+1) - 1)^n, the K_{d,d} bound at activity 1; marks equality.
+    Needs d >= 1."""
+    bound = bd.kdd_weighted_bound(f.stats.n, f.stats.d, 1)
+    report = _fixed(bound, "conjecture_counts", "activity").judge(f.count, f.count_log2)
     if report.tight:
         report.constants["equality"] = True
     return [report]
@@ -863,7 +875,8 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
     n, d, alpha = f.stats.n, f.stats.d, f.stats.alpha
     if n < 1:
         return f.stats, [], ["empty graph: nothing to bound"]
-    reports = [bd.alekseev_bound(n, alpha).judge(f.count, f.count_log2)]
+    alekseev = _fixed(bd.alekseev_weighted_bound(n, alpha, 1), "alekseev", "activity")
+    reports = [alekseev.judge(f.count, f.count_log2)]
     reports += alekseev_weighted(f)
     if d is None or d < 1:
         notice = "graph is not d-regular with d >= 1: regular-only bounds skipped"
@@ -871,7 +884,9 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
 
     reports.append(bd.kahn_bound(n, d).judge(f.count, f.count_log2))
     reports += conjecture_counts(f)
-    kahn = _per_activity(f, lambda lam: bd.weighted_kahn_bound(n, d, lam))
+    kahn = _per_activity(
+        f, lambda lam: _fixed(bd.independent_first_bound(n, d, 0, lam), "weighted_kahn", "alpha")
+    )
     # The ordering bound on the identity order: one histogram for every activity.
     hist = bd.order_histogram(g, range(n), d)
 
@@ -894,13 +909,16 @@ def bounds_for_graph(g: Graph, cfg: RunConfig) -> tuple[GraphStats, list[bd.Boun
 
 def cover_summary(g: Graph, independent_set: int, cfg: RunConfig) -> dict:
     """Build a certificate at cfg.phi (None: the per-graph default), re-verify
-    it, and attach the cover_count rows."""
+    it, and attach the cover_count rows. A cfg.phi outside (0, d) raises
+    ConfigError."""
     if not is_independent(g, independent_set):
         raise GraphError(f"set {mask_vertices(independent_set)} is not independent")
     d = g.regular_degree()
     if d is None or d < 2:
         raise GraphError("cover construction requires a d-regular graph with d >= 2")
     phi = cfg.phi if cfg.phi is not None else cv.phi_default(d)
+    if not 0 < phi < d:
+        raise ConfigError("phi", f"need 0 < phi < d = {d}")
     cert = cv.build_cover(g, independent_set, phi)
     ok, reason = cv.verify_cover(g, cert)
     f = _single_graph_facts(g, cfg)

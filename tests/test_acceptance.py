@@ -13,9 +13,9 @@ import time
 from fractions import Fraction
 
 from indsets.bounds import (
-    conjecture_bound,
     fixed_size_bound,
     independent_first_bound,
+    kdd_weighted_bound,
     log2_fraction,
     order_bound,
 )
@@ -155,7 +155,7 @@ def test_criterion_3_conjecture_certification():
                 expected = poly_product(expected, brute_force_polynomial(gen_cycle(part)))
             poly = independence_polynomial(g)
             assert poly == expected
-            assert _holds(conjecture_bound(n, 2), poly.total())
+            assert _holds(kdd_weighted_bound(n, 2, 1), poly.total())
             checked += 1
 
     # 1000 seeded random d-regular graphs for each d in {3, 4, 5}, n <= 20.
@@ -166,14 +166,14 @@ def test_criterion_3_conjecture_certification():
             n = rng.choice(allowed)
             g = gen_random_regular(n, d, rng.randrange(10 ** 9))
             total = independence_polynomial(g).total()
-            assert _holds(conjecture_bound(n, d), total)
+            assert _holds(kdd_weighted_bound(n, d, 1), total)
             checked += 1
 
     # Complete graphs K_{d+1} for d <= 10 (i = d + 2).
     for d in range(1, 11):
         total = independence_polynomial(gen_complete(d + 1)).total()
         assert total == d + 2
-        assert _holds(conjecture_bound(d + 1, d), total)
+        assert _holds(kdd_weighted_bound(d + 1, d, 1), total)
         checked += 1
 
     elapsed = time.monotonic() - start

@@ -9,10 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indsets.bounds import (
-    alekseev_bound,
     alekseev_weighted_bound,
     binary_entropy,
-    conjecture_bound,
     fixed_size_bound,
     fixed_size_rhs,
     independent_first_bound,
@@ -22,7 +20,6 @@ from indsets.bounds import (
     order_bound,
     order_numerators,
     order_report,
-    weighted_kahn_bound,
 )
 from indsets.cover import cover_count_bound
 from indsets.graphs import build_graph, gen_complete_bipartite, gen_cycle
@@ -37,14 +34,15 @@ def holds(report, value):
 
 
 def test_alekseev_examples():
-    rep = alekseev_bound(5, 2)
+    # The count bound (1 + n/alpha)^alpha is the weighted bound at activity 1.
+    rep = alekseev_weighted_bound(5, 2, 1)
     assert rep.exact_value == Fraction(49, 4)
     assert rep.exact_value >= independence_polynomial(gen_cycle(5)).total()
-    assert alekseev_bound(4, 2).exact_value == 9  # 3^d at d=2
+    assert alekseev_weighted_bound(4, 2, 1).exact_value == 9  # 3^d at d=2
     assert 9 >= independence_polynomial(gen_complete_bipartite(2)).total() == 7
-    assert alekseev_bound(1, 1).exact_value == 2
+    assert alekseev_weighted_bound(1, 1, 1).exact_value == 2
     with pytest.raises(ValueError):
-        alekseev_bound(5, 0)
+        alekseev_weighted_bound(5, 0, 1)
 
 
 def test_alekseev_weighted_examples():
@@ -53,8 +51,6 @@ def test_alekseev_weighted_examples():
     p = independence_polynomial(two_k3)
     rep = alekseev_weighted_bound(6, 2, 1)
     assert rep.exact_value == 16 == p.evaluate(1)
-    # Activity 1 reduces to the unweighted bound.
-    assert alekseev_weighted_bound(5, 2, 1).exact_value == alekseev_bound(5, 2).exact_value
     rep = alekseev_weighted_bound(5, 2, HALF)
     assert rep.exact_value == Fraction(81, 16)
     assert rep.exact_value >= independence_polynomial(gen_cycle(5)).evaluate(HALF)
@@ -69,18 +65,19 @@ def test_kahn_examples():
     assert rep.log2_value == pytest.approx(25 / 3, rel=1e-12)
     assert 2 ** rep.log2_value >= 76
     for d in range(1, 21):
-        assert kahn_bound(2 * d, d).log2_value >= conjecture_bound(2 * d, d).log2_value
+        assert kahn_bound(2 * d, d).log2_value >= kdd_weighted_bound(2 * d, d, 1).log2_value
 
 
 def test_conjecture_exact_checks():
+    # The conjectured count (2^(d+1) - 1)^(n/2d) is the weighted bound at activity 1.
     assert 11 ** 4 == 14641 <= 16807 == 7 ** 5
-    assert holds(conjecture_bound(5, 2), 11)
-    assert holds(conjecture_bound(6, 3), 15)
+    assert holds(kdd_weighted_bound(5, 2, 1), 11)
+    assert holds(kdd_weighted_bound(6, 3, 1), 15)
     assert 15 ** 6 == (2 ** 4 - 1) ** 6  # equality on K_{3,3}
-    assert conjecture_bound(6, 3).judge(15, math.log2(15)).tight
-    assert not conjecture_bound(5, 2).judge(11, math.log2(11)).tight
-    assert holds(conjecture_bound(10, 3), 76)
-    assert not holds(conjecture_bound(5, 2), 2 ** 6)  # trivial upper bound is above
+    assert kdd_weighted_bound(6, 3, 1).judge(15, math.log2(15)).tight
+    assert not kdd_weighted_bound(5, 2, 1).judge(11, math.log2(11)).tight
+    assert holds(kdd_weighted_bound(10, 3, 1), 76)
+    assert not holds(kdd_weighted_bound(5, 2, 1), 2 ** 6)  # trivial upper bound is above
 
 
 def test_weighted_conjecture_checks():
@@ -91,22 +88,21 @@ def test_weighted_conjecture_checks():
             assert value == base
             report = kdd_weighted_bound(2 * d, d, lam).judge(value, log2_fraction(value))
             assert report.holds_exact and report.tight  # equality case
-    # C_5 at activity 1 reduces to the counting check.
-    assert kdd_weighted_bound(5, 2, 1).cleared == conjecture_bound(5, 2).cleared
-    assert holds(kdd_weighted_bound(5, 2, 1), 11) == holds(conjecture_bound(5, 2), 11)
     assert Fraction(19, 4) ** 4 == Fraction(130321, 256)
     assert Fraction(130321, 256) <= Fraction(16807, 32) == Fraction(7, 2) ** 5
     assert holds(kdd_weighted_bound(5, 2, HALF), Fraction(19, 4))
 
 
 def test_weighted_kahn_examples():
-    assert weighted_kahn_bound(6, 3, 1).log2_value == pytest.approx(
+    # Kahn's weighted bound (1+activity)^(n/2) 2^(n/d) is the independent-first
+    # bound at alpha = 0, and Kahn's count bound at activity 1.
+    assert independent_first_bound(6, 3, 0, 1).log2_value == pytest.approx(
         kahn_bound(6, 3).log2_value, rel=1e-12
     )
-    rep = weighted_kahn_bound(4, 2, 1)
+    rep = independent_first_bound(4, 2, 0, 1)
     assert rep.exact_value == 16
     assert rep.exact_value >= independence_polynomial(gen_cycle(4)).total() == 7
-    rep = weighted_kahn_bound(10, 5, 2)
+    rep = independent_first_bound(10, 5, 0, 2)
     assert rep.exact_value == 972 == 3 ** 5 * 4
 
 
@@ -141,10 +137,6 @@ def test_independent_first_examples():
     rep = independent_first_bound(4, 2, 2, 1)
     assert rep.exact_value == 8
     assert rep.exact_value >= independence_polynomial(gen_cycle(4)).total() == 7
-    # alpha = 0 degenerates to the weighted-kahn value.
-    assert independent_first_bound(10, 5, 0, 2).log2_value == pytest.approx(
-        weighted_kahn_bound(10, 5, 2).log2_value, rel=1e-12
-    )
     # alpha = n/2 specialization.
     rep = independent_first_bound(8, 2, 4, 1)
     assert rep.log2_value == pytest.approx(4 + 2, rel=1e-12)
@@ -249,10 +241,10 @@ def test_kahn_exact_threshold(n, d):
 def test_conjecture_exact_threshold(n, d):
     # The extremal count clears to count^(2d) <= (2^(d+1)-1)^n: the largest
     # count accepted is floor((2^(d+1)-1)^(n/(2d))), exact when 2d divides n.
-    c = largest_accepted(conjecture_bound(n, d))
+    c = largest_accepted(kdd_weighted_bound(n, d, 1))
     assert c == floor_root(2 ** (d + 1) - 1, n, 2 * d)
     if n % (2 * d) == 0:
-        assert c == conjecture_bound(n, d).exact_value
+        assert c == kdd_weighted_bound(n, d, 1).exact_value
 
 
 def test_fixed_size_exact_rejects_bad_input():
@@ -264,12 +256,12 @@ def test_fixed_size_exact_rejects_bad_input():
 
 def test_reports_log2_matches_exact_value():
     reports = [
-        alekseev_bound(9, 3),
+        alekseev_weighted_bound(9, 3, 1),
         alekseev_weighted_bound(9, 3, HALF),
         kahn_bound(8, 2),
-        conjecture_bound(12, 3),
+        kdd_weighted_bound(12, 3, 1),
         kdd_weighted_bound(12, 3, Fraction(2)),
-        weighted_kahn_bound(12, 3, HALF),
+        independent_first_bound(12, 3, 0, HALF),
         independent_first_bound(12, 3, 6, 1),
         order_bound(gen_cycle(6), [0, 1, 2, 3, 4, 5], HALF),
     ]
@@ -313,22 +305,29 @@ def rational_root(r: Fraction, k: int):
 def closed_forms(n, d, alpha, t, phi, lam, hist):
     """(report, power, bound^power, log2_value) of every evaluator. bound^power is
     the bound's closed form in Fraction arithmetic; log2_value is the float the
-    report must carry, as the closed form's lowest terms give it."""
+    report must carry, as the closed form's lowest terms give it. The
+    `alekseev` and `conjecture_counts` rows are their weighted evaluators at
+    activity 1, and `weighted_kahn` is `independent_first` at alpha = 0."""
     one = 1 + lam
     kdd_base = 2 * one**d - 1
     weighted_first = (n / 2) * log2_fraction(one)
     rows = [
-        (alekseev_bound(n, alpha), 1, (1 + Fraction(n, alpha)) ** alpha, None),
+        (alekseev_weighted_bound(n, alpha, 1), 1, (1 + Fraction(n, alpha)) ** alpha, None),
         (alekseev_weighted_bound(n, alpha, lam), 1, (1 + lam * n / alpha) ** alpha, None),
         (kahn_bound(n, d), 2 * d, Fraction(2) ** (n * (d + 2)), n * (d + 2) / (2 * d)),
         (
-            conjecture_bound(n, d),
+            kdd_weighted_bound(n, d, 1),
             2 * d,
             Fraction(2 ** (d + 1) - 1) ** n,
             n * math.log2(2 ** (d + 1) - 1) / (2 * d),
         ),
         (kdd_weighted_bound(n, d, lam), 2 * d, kdd_base**n, n * log2_fraction(kdd_base) / (2 * d)),
-        (weighted_kahn_bound(n, d, lam), 2 * d, one ** (n * d) * 4**n, weighted_first + n / d),
+        (
+            independent_first_bound(n, d, 0, lam),
+            2 * d,
+            one ** (n * d) * 4**n,
+            weighted_first + n / d,
+        ),
         (
             independent_first_bound(n, d, alpha, lam),
             2 * d,

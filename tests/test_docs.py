@@ -13,6 +13,6 @@ def test_readme_library_example_runs():
     namespace: dict = {}
     exec(compile(code, "README.md", "exec"), namespace)
     bound = namespace["bound"]
-    assert bound.name == "conjecture_counts" and bound.holds_exact is True
+    assert bound.name == "conjecture_weighted" and bound.holds_exact is True
     assert bound.margin_log2 > 0
     assert namespace["I"].verify_cover(namespace["g"], namespace["cert"]) == (True, "ok")

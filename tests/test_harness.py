@@ -29,6 +29,7 @@ from indsets.graphs import (
 from indsets.harness import (
     CHECKS,
     CheckResult,
+    ConfigError,
     GraphFacts,
     RunConfig,
     VerificationRecord,
@@ -45,6 +46,7 @@ from indsets.harness import (
     verify_graph,
 )
 from indsets.polynomial import IndependencePolynomial
+from test_golden import GRAPHS as GOLDEN_GRAPHS
 
 
 def test_graph_from_spec_kinds():
@@ -646,6 +648,18 @@ def test_cli_bounds_phi_out_of_range_notice(phi, tmp_path, capsys):
         assert checks[name]["witness"] == {"reason": "phi outside (0, d)"}
 
 
+@pytest.mark.parametrize("phi", [0, 3, 5])
+def test_cli_cover_phi_out_of_range_is_located(phi, capsys):
+    # cover cannot skip its rows as bounds does: it names the flag, the value and d.
+    assert main(["cover", "gen:petersen", "--set", "0", "--phi", str(phi)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --phi {phi}: need 0 < phi < d = 3\n"
+    with pytest.raises(ConfigError) as info:
+        cover_summary(gen_petersen(), 1, RunConfig(phi=phi))
+    assert info.value.field == "phi"
+
+
 def test_cli_verify_exit_zero(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
@@ -980,6 +994,26 @@ def test_kahn_rows_are_decided_at_the_threshold(monkeypatch):
         _, reports, _ = bounds_for_graph(g, RunConfig(lambdas=(Fraction(1),)))
         verdicts = {rep.name: rep.holds_exact for rep in reports if "kahn" in rep.name}
         assert verdicts == {"kahn": holds, "weighted_kahn": holds}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+def test_count_rows_are_their_weighted_rows_at_activity_1(name):
+    # The count rows come from the weighted evaluators at activity 1, so on
+    # every golden graph each agrees with its weighted row at lam = 1 in
+    # value, cleared form and verdict. The irregular path has only the
+    # Alekseev pair.
+    g = load_inputs([GOLDEN_GRAPHS[name]])[0][1]
+    _, reports, _ = bounds_for_graph(g, RunConfig(lambdas=(Fraction(1),)))
+    rows = {rep.name: rep for rep in reports}
+    pairs = [("alekseev", "alekseev_weighted")]
+    if g.regular_degree():
+        pairs.append(("conjecture_counts", "conjecture_weighted"))
+    fields = ("log2_value", "exact_value", "power", "cleared", "scale", "holds_exact", "margin_log2")
+    for count, weighted in pairs:
+        for field in fields:
+            assert getattr(rows[count], field) == getattr(rows[weighted], field), (count, field)
+    if name in ("kdd3", "kdd3x2"):
+        assert rows["conjecture_counts"].constants["equality"] is True
 
 
 TIGHT_ON_KDD = ("conjecture_counts", "conjecture_weighted", "order_bound")
